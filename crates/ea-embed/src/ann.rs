@@ -42,14 +42,15 @@
 //! The [`CandidateSearch`] strategy enum (implementing the [`CandidateSource`]
 //! trait) is what consumers store in their configs to switch exact ↔ ANN.
 
-use crate::candidates::CandidateIndex;
+use crate::candidates::{blocked_topk, CandidateIndex, Side, DEFAULT_COL_TILE, DEFAULT_ROW_TILE};
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::lsm::{self, LsmParams};
+use crate::lsm::{lsm_pass, LsmParams};
 use crate::quantized::{
-    sq8_candidate_index, sq8_select_and_rerank, QuantizedTable, Sq8GridFit, Sq8Params, Sq8Scratch,
+    sq8_pass, sq8_select_and_rerank, QuantizedTable, Sq8GridFit, Sq8Params, Sq8Scratch,
 };
-use crate::shard::{self, ShardParams};
+use crate::segment::SegmentStore;
+use crate::shard::{ShardParams, ShardedIndex};
 use crate::storage::{
     self, InMemory, ListStore, MappedOptions, RowSource, StorageError, StoreBacking,
     StreamingStats, TableRows,
@@ -62,8 +63,10 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-/// Rows per parallel work block in k-means assignment and IVF search.
-const ANN_ROW_TILE: usize = 128;
+/// Rows per parallel work block: the fan-out tile of k-means assignment and
+/// of every engine's query loop (IVF and SQ8 search, shard routing, the
+/// segment gather-merge, the LSM tail scan).
+pub(crate) const ROW_TILE: usize = 128;
 
 /// How the k-means seeds (initial centroids) of the IVF coarse quantizer are
 /// chosen. Both options are pure functions of ([`IvfParams::seed`], corpus):
@@ -547,11 +550,11 @@ impl IvfIndex {
         // Same fan-out shape as the exact scan: fixed query blocks over the
         // rayon pool, block results concatenated in input order. One scratch
         // set per block, reused across its queries.
-        let block_starts: Vec<usize> = (0..n_q).step_by(ANN_ROW_TILE).collect();
+        let block_starts: Vec<usize> = (0..n_q).step_by(ROW_TILE).collect();
         let blocks: Vec<Vec<Ranked>> = block_starts
             .par_iter()
             .map(|&start| {
-                let end = (start + ANN_ROW_TILE).min(n_q);
+                let end = (start + ROW_TILE).min(n_q);
                 let mut out = Vec::with_capacity((end - start) * cap);
                 let mut scratch = IvfScratch::new();
                 for q in start..end {
@@ -716,7 +719,7 @@ fn copy_source_row<S: RowSource + ?Sized>(
 
 /// One fused streaming sweep of Lloyd's algorithm: pulls `chunk_rows`-row
 /// chunks from `source`, assigns each row to its nearest centroid (parallel
-/// over fixed [`ANN_ROW_TILE`] blocks, order-preserving) and accumulates the
+/// over fixed [`ROW_TILE`] blocks, order-preserving) and accumulates the
 /// per-cluster sums/counts **sequentially in ascending global row order** —
 /// the same addition sequence a whole-corpus pass performs, so sums are
 /// bit-identical for every chunk size and thread count. When `grid` is set
@@ -756,11 +759,11 @@ fn assign_sweep<S: RowSource + ?Sized>(
                 fit.update_row(&chunk[r * dim..(r + 1) * dim]);
             }
         }
-        let tile_starts: Vec<usize> = (0..count).step_by(ANN_ROW_TILE).collect();
+        let tile_starts: Vec<usize> = (0..count).step_by(ROW_TILE).collect();
         let tiles: Vec<Vec<u32>> = tile_starts
             .par_iter()
             .map(|&tile| {
-                let end = (tile + ANN_ROW_TILE).min(count);
+                let end = (tile + ROW_TILE).min(count);
                 let mut scores = vec![0.0f32; nlist];
                 (tile..end)
                     .map(|row| {
@@ -1180,28 +1183,46 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
+/// Every non-empty `EXEA_CANDIDATE_SEARCH` value: the grammar
+/// `exact`, `sq8[-mapped]` and `[sharded-|lsm-]{ivf|ivf-sq8}[-mapped]`
+/// spelled out, because [`CandidateSource::name`] hands out `&'static str`.
+const OVERRIDE_VALUES: [&str; 15] = [
+    "exact",
+    "sq8",
+    "sq8-mapped",
+    "ivf",
+    "ivf-sq8",
+    "ivf-mapped",
+    "ivf-sq8-mapped",
+    "sharded-ivf",
+    "sharded-ivf-sq8",
+    "sharded-ivf-mapped",
+    "sharded-ivf-sq8-mapped",
+    "lsm-ivf",
+    "lsm-ivf-sq8",
+    "lsm-ivf-mapped",
+    "lsm-ivf-sq8-mapped",
+];
+
 /// Accepted `EXEA_CANDIDATE_SEARCH` values, for error messages.
-const CANDIDATE_SEARCH_EXPECTED: &str = "exact, ivf, sq8, ivf-sq8, one of \
-     ivf-mapped, sq8-mapped, ivf-sq8-mapped, one of \
-     sharded-ivf, sharded-ivf-sq8, sharded-ivf-mapped, \
-     sharded-ivf-sq8-mapped, or one of \
+const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}[-mapped], exact or \
+     sq8[-mapped]: exact, sq8, sq8-mapped, ivf, ivf-sq8, ivf-mapped, ivf-sq8-mapped, \
+     sharded-ivf, sharded-ivf-sq8, sharded-ivf-mapped, sharded-ivf-sq8-mapped, \
      lsm-ivf, lsm-ivf-sq8, lsm-ivf-mapped, lsm-ivf-sq8-mapped";
 
 impl CandidateSearch {
     /// The default strategy honouring the `EXEA_CANDIDATE_SEARCH`
     /// environment override — the hook CI uses to run the whole pipeline
     /// (prediction, repair, verification, anchor mining) on an approximate
-    /// engine end to end. Recognised values: `exact`, `ivf`, `sq8`,
-    /// `ivf-sq8` (each with default parameters), plus `ivf-mapped`,
-    /// `sq8-mapped` and `ivf-sq8-mapped` (same engines with their panels
-    /// spilled to an on-disk container and searched through the mapped
-    /// store), plus the scatter-gather shard layer over the same four IVF
-    /// engines: `sharded-ivf`, `sharded-ivf-sq8`, `sharded-ivf-mapped` and
-    /// `sharded-ivf-sq8-mapped` (default [`ShardParams`]: auto shard count,
-    /// every shard routed), plus the LSM mutable engine over the same four:
-    /// `lsm-ivf`, `lsm-ivf-sq8`, `lsm-ivf-mapped` and `lsm-ivf-sq8-mapped`
-    /// (default [`LsmParams`]: 512-row seal budget, exhaustive per-segment
-    /// probing); unset or empty means [`CandidateSearch::Exact`].
+    /// engine end to end. Recognised values compose as
+    /// `[sharded-|lsm-]{ivf|ivf-sq8}[-mapped]`, plus `exact` and
+    /// `sq8[-mapped]`, each with default parameters: `ivf-sq8` is IVF with
+    /// SQ8 list storage; `-mapped` spills the engine's panels to an on-disk
+    /// container searched through the mapped store; `sharded-` runs the
+    /// IVF engine per shard (default [`ShardParams`]: auto shard count,
+    /// every shard routed) and `lsm-` per sealed segment (default
+    /// [`LsmParams`]: 512-row seal budget, exhaustive per-segment probing).
+    /// Unset or empty means [`CandidateSearch::Exact`].
     ///
     /// Config `Default` impls ([`ExeaConfig`](https://docs.rs/exea-core),
     /// `TrainConfig`) call this instead of hard-coding `Exact`; explicitly
@@ -1244,121 +1265,117 @@ impl CandidateSearch {
         }
     }
 
-    /// Parses one `EXEA_CANDIDATE_SEARCH` value; `None` for unrecognised
-    /// non-empty input (the empty string means "unset": `Exact`). The
-    /// `-mapped` suffix selects the same engine with its panels spilled to
-    /// an on-disk container ([`StoreBacking::Mapped`]) — the hook CI uses to
-    /// run the whole pipeline through the out-of-core store.
+    /// Parses one `EXEA_CANDIDATE_SEARCH` value; `None` for input outside
+    /// the grammar (the empty string means "unset": `Exact`).
     fn parse_override(value: &str) -> Option<Self> {
-        let mapped = StoreBacking::Mapped(MappedOptions::default());
-        Some(match value {
-            "" | "exact" => CandidateSearch::Exact,
-            "ivf" => CandidateSearch::Ivf(IvfParams::default()),
-            "sq8" => CandidateSearch::Sq8(Sq8Params::default()),
-            "ivf-sq8" => CandidateSearch::Ivf(IvfParams {
-                storage: IvfListStorage::Sq8(Sq8Params::default()),
-                ..IvfParams::default()
-            }),
-            "ivf-mapped" => CandidateSearch::Ivf(IvfParams {
-                backing: mapped,
-                ..IvfParams::default()
-            }),
-            "sq8-mapped" => CandidateSearch::Sq8(Sq8Params {
-                backing: mapped,
-                ..Sq8Params::default()
-            }),
-            "ivf-sq8-mapped" => CandidateSearch::Ivf(IvfParams {
-                storage: IvfListStorage::Sq8(Sq8Params::default()),
-                backing: mapped,
-                ..IvfParams::default()
-            }),
-            "sharded-ivf" => CandidateSearch::Sharded(ShardParams::default()),
-            "sharded-ivf-sq8" => CandidateSearch::Sharded(ShardParams {
-                ivf: IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    ..IvfParams::default()
-                },
-                ..ShardParams::default()
-            }),
-            "sharded-ivf-mapped" => CandidateSearch::Sharded(ShardParams {
-                ivf: IvfParams {
-                    backing: mapped,
-                    ..IvfParams::default()
-                },
-                ..ShardParams::default()
-            }),
-            "sharded-ivf-sq8-mapped" => CandidateSearch::Sharded(ShardParams {
-                ivf: IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    backing: mapped,
-                    ..IvfParams::default()
-                },
-                ..ShardParams::default()
-            }),
-            "lsm-ivf" => CandidateSearch::Lsm(LsmParams::default()),
-            "lsm-ivf-sq8" => CandidateSearch::Lsm(LsmParams {
-                ivf: IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    ..LsmParams::default().ivf
-                },
-                ..LsmParams::default()
-            }),
-            "lsm-ivf-mapped" => CandidateSearch::Lsm(LsmParams {
-                ivf: IvfParams {
-                    backing: mapped,
-                    ..LsmParams::default().ivf
-                },
-                ..LsmParams::default()
-            }),
-            "lsm-ivf-sq8-mapped" => CandidateSearch::Lsm(LsmParams {
-                ivf: IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    backing: mapped,
-                    ..LsmParams::default().ivf
-                },
-                ..LsmParams::default()
-            }),
+        if value.is_empty() {
+            return Some(CandidateSearch::Exact);
+        }
+        let (rest, backing) = match value.strip_suffix("-mapped") {
+            Some(rest) => (rest, StoreBacking::Mapped(MappedOptions::default())),
+            None => (value, StoreBacking::InMemory),
+        };
+        let (layer, engine) = ["sharded-", "lsm-"]
+            .into_iter()
+            .find_map(|layer| Some((layer, rest.strip_prefix(layer)?)))
+            .unwrap_or(("", rest));
+        let storage = match engine {
+            "ivf" => IvfListStorage::Flat,
+            "ivf-sq8" => IvfListStorage::Sq8(Sq8Params::default()),
+            "exact" if layer.is_empty() && backing == StoreBacking::InMemory => {
+                return Some(CandidateSearch::Exact)
+            }
+            "sq8" if layer.is_empty() => {
+                return Some(CandidateSearch::Sq8(Sq8Params {
+                    backing,
+                    ..Sq8Params::default()
+                }))
+            }
             _ => return None,
+        };
+        let with = |base: IvfParams| IvfParams {
+            storage,
+            backing,
+            ..base
+        };
+        Some(match layer {
+            "sharded-" => {
+                let base = ShardParams::default();
+                CandidateSearch::Sharded(ShardParams {
+                    ivf: with(base.ivf),
+                    ..base
+                })
+            }
+            "lsm-" => {
+                let base = LsmParams::default();
+                CandidateSearch::Lsm(LsmParams {
+                    ivf: with(base.ivf),
+                    ..base
+                })
+            }
+            _ => CandidateSearch::Ivf(with(IvfParams::default())),
         })
+    }
+
+    /// This strategy's `(layer prefix, engine, backing)` in the override
+    /// grammar.
+    fn grammar_parts(&self) -> (&'static str, &'static str, &StoreBacking) {
+        let (layer, ivf) = match self {
+            CandidateSearch::Exact => return ("", "exact", &StoreBacking::InMemory),
+            CandidateSearch::Sq8(params) => return ("", "sq8", &params.backing),
+            CandidateSearch::Ivf(params) => ("", params),
+            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf),
+            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf),
+        };
+        let engine = match ivf.storage {
+            IvfListStorage::Flat => "ivf",
+            IvfListStorage::Sq8(_) => "ivf-sq8",
+        };
+        (layer, engine, &ivf.backing)
+    }
+
+    /// One directed pass of this strategy's one-shot build: the top-`cap`
+    /// corpus rows of every query row, flattened best-first.
+    fn directed_pass(&self, queries: &Side, corpus: &Side, cap: usize) -> Vec<Ranked> {
+        match self {
+            CandidateSearch::Exact => blocked_topk(
+                &queries.norm,
+                &corpus.norm,
+                cap,
+                DEFAULT_ROW_TILE,
+                DEFAULT_COL_TILE,
+            ),
+            CandidateSearch::Ivf(params) => {
+                SegmentStore::build(&TableRows::new(&corpus.norm), params)
+                    .unwrap_or_else(|e| panic!("candidate-list spill failed: {e}"))
+                    .search_flat(&queries.norm, cap, params)
+            }
+            CandidateSearch::Sq8(params) => sq8_pass(&queries.norm, &corpus.norm, cap, params),
+            CandidateSearch::Sharded(params) => {
+                let index = ShardedIndex::build(&corpus.norm, params);
+                index.search_flat(&queries.norm, cap, params.resolved_route(index.nshards()))
+            }
+            CandidateSearch::Lsm(params) => lsm_pass(queries, corpus, cap, params),
+        }
     }
 }
 
 impl CandidateSource for CandidateSearch {
     fn name(&self) -> &'static str {
-        match self {
-            CandidateSearch::Exact => "exact",
-            CandidateSearch::Ivf(params) => {
-                let mapped = matches!(params.backing, StoreBacking::Mapped(_));
-                match (&params.storage, mapped) {
-                    (IvfListStorage::Flat, false) => "ivf",
-                    (IvfListStorage::Flat, true) => "ivf-mapped",
-                    (IvfListStorage::Sq8(_), false) => "ivf-sq8",
-                    (IvfListStorage::Sq8(_), true) => "ivf-sq8-mapped",
-                }
-            }
-            CandidateSearch::Sq8(params) => match params.backing {
-                StoreBacking::InMemory => "sq8",
-                StoreBacking::Mapped(_) => "sq8-mapped",
-            },
-            CandidateSearch::Sharded(params) => {
-                let mapped = matches!(params.ivf.backing, StoreBacking::Mapped(_));
-                match (&params.ivf.storage, mapped) {
-                    (IvfListStorage::Flat, false) => "sharded-ivf",
-                    (IvfListStorage::Flat, true) => "sharded-ivf-mapped",
-                    (IvfListStorage::Sq8(_), false) => "sharded-ivf-sq8",
-                    (IvfListStorage::Sq8(_), true) => "sharded-ivf-sq8-mapped",
-                }
-            }
-            CandidateSearch::Lsm(params) => {
-                let mapped = matches!(params.ivf.backing, StoreBacking::Mapped(_));
-                match (&params.ivf.storage, mapped) {
-                    (IvfListStorage::Flat, false) => "lsm-ivf",
-                    (IvfListStorage::Flat, true) => "lsm-ivf-mapped",
-                    (IvfListStorage::Sq8(_), false) => "lsm-ivf-sq8",
-                    (IvfListStorage::Sq8(_), true) => "lsm-ivf-sq8-mapped",
-                }
-            }
-        }
+        let (layer, engine, backing) = self.grammar_parts();
+        let suffix = match backing {
+            StoreBacking::InMemory => "",
+            StoreBacking::Mapped(_) => "-mapped",
+        };
+        OVERRIDE_VALUES
+            .into_iter()
+            .find(|value| {
+                value
+                    .strip_prefix(layer)
+                    .and_then(|rest| rest.strip_suffix(suffix))
+                    == Some(engine)
+            })
+            .expect("every strategy spells a grammar value")
     }
 
     fn forward_index(
@@ -1369,47 +1386,15 @@ impl CandidateSource for CandidateSearch {
         target_ids: &[EntityId],
         k: usize,
     ) -> CandidateIndex {
-        match self {
-            CandidateSearch::Exact => {
-                CandidateIndex::compute(source_table, source_ids, target_table, target_ids, k)
-            }
-            CandidateSearch::Ivf(params) => ivf_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                false,
-                params,
-            ),
-            CandidateSearch::Sq8(params) => sq8_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                false,
-                params,
-            ),
-            CandidateSearch::Sharded(params) => shard::sharded_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                false,
-                params,
-            ),
-            CandidateSearch::Lsm(params) => lsm::lsm_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                false,
-                params,
-            ),
-        }
+        CandidateIndex::from_passes(
+            source_table,
+            source_ids,
+            target_table,
+            target_ids,
+            k,
+            false,
+            |queries, corpus, cap| self.directed_pass(queries, corpus, cap),
+        )
     }
 
     fn bidirectional_index(
@@ -1420,133 +1405,15 @@ impl CandidateSource for CandidateSearch {
         target_ids: &[EntityId],
         k: usize,
     ) -> CandidateIndex {
-        match self {
-            CandidateSearch::Exact => CandidateIndex::compute_bidirectional(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-            ),
-            CandidateSearch::Ivf(params) => ivf_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                true,
-                params,
-            ),
-            CandidateSearch::Sq8(params) => sq8_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                true,
-                params,
-            ),
-            CandidateSearch::Sharded(params) => shard::sharded_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                true,
-                params,
-            ),
-            CandidateSearch::Lsm(params) => lsm::lsm_candidate_index(
-                source_table,
-                source_ids,
-                target_table,
-                target_ids,
-                k,
-                true,
-                params,
-            ),
-        }
-    }
-}
-
-/// One-shot IVF candidate generation: normalise, build the quantizer(s), run
-/// the pre-filtered scan, assemble a [`CandidateIndex`]. The reverse lists of
-/// a bidirectional index come from a second quantizer over the *source* rows
-/// probed by the target rows — the transposed problem, exactly like the exact
-/// engine's second pass.
-fn ivf_candidate_index(
-    source_table: &EmbeddingTable,
-    source_ids: &[EntityId],
-    target_table: &EmbeddingTable,
-    target_ids: &[EntityId],
-    k: usize,
-    reverse: bool,
-    params: &IvfParams,
-) -> CandidateIndex {
-    let source_rows: Vec<usize> = source_ids.iter().map(|s| s.index()).collect();
-    let target_rows: Vec<usize> = target_ids.iter().map(|t| t.index()).collect();
-    let source_norm = source_table.gather_normalized(&source_rows);
-    let target_norm = target_table.gather_normalized(&target_rows);
-
-    let forward = ivf_search_backed(&source_norm, &target_norm, k.min(target_ids.len()), params);
-
-    let backward = if reverse {
-        Some(ivf_search_backed(
-            &target_norm,
-            &source_norm,
-            k.min(source_ids.len()),
-            params,
-        ))
-    } else {
-        None
-    };
-
-    CandidateIndex::from_parts(source_ids, target_ids, k, forward, backward)
-}
-
-/// One directed IVF pass: build the quantizer over the (normalised) corpus
-/// side, then probe — through the in-memory panels, or through a spilled
-/// on-disk container when `params.backing` says so (bit-identical results
-/// either way; the spill file is removed afterwards).
-///
-/// The spill path streams the container straight from the corpus table
-/// ([`storage::save_ivf_streaming_with_sync`]) instead of materialising the
-/// index plus a full SQ8 code panel in RAM first — the container bytes are
-/// identical either way, so search results are too.
-fn ivf_search_backed(
-    queries: &EmbeddingTable,
-    corpus_norm: &EmbeddingTable,
-    cap: usize,
-    params: &IvfParams,
-) -> Vec<Ranked> {
-    let nprobe = params.resolved_nprobe(params.resolved_nlist(corpus_norm.rows()));
-    match &params.backing {
-        StoreBacking::InMemory => {
-            let index = IvfIndex::build(corpus_norm, params);
-            index.search_flat(queries, corpus_norm, cap, nprobe)
-        }
-        StoreBacking::Mapped(options) => {
-            let sq8 = match &params.storage {
-                IvfListStorage::Flat => None,
-                IvfListStorage::Sq8(sq8) => Some(sq8.clone()),
-            };
-            storage::with_spilled_index(
-                options,
-                |path| {
-                    storage::save_ivf_streaming_with_sync(
-                        &TableRows::new(corpus_norm),
-                        params,
-                        path,
-                        0,
-                        false,
-                    )
-                    .map(|_| ())
-                },
-                |mapped| {
-                    let ivf = mapped.ivf().expect("spilled container carries IVF state");
-                    ivf.search_flat_store(queries, mapped.store(), sq8.as_ref(), cap, nprobe)
-                },
-            )
-        }
+        CandidateIndex::from_passes(
+            source_table,
+            source_ids,
+            target_table,
+            target_ids,
+            k,
+            true,
+            |queries, corpus, cap| self.directed_pass(queries, corpus, cap),
+        )
     }
 }
 
@@ -1606,6 +1473,61 @@ mod tests {
     }
 
     #[test]
+    fn env_override_values_parse_strictly() {
+        assert_eq!(
+            CandidateSearch::parse_override(""),
+            Some(CandidateSearch::Exact)
+        );
+        assert_eq!(
+            CandidateSearch::parse_override("exact"),
+            Some(CandidateSearch::Exact)
+        );
+        assert_eq!(
+            CandidateSearch::parse_override("ivf"),
+            Some(CandidateSearch::Ivf(IvfParams::default()))
+        );
+        assert_eq!(
+            CandidateSearch::parse_override("sq8"),
+            Some(CandidateSearch::Sq8(Sq8Params::default()))
+        );
+        let ivf_sq8 = CandidateSearch::parse_override("ivf-sq8").unwrap();
+        assert_eq!(ivf_sq8.name(), "ivf-sq8");
+        // Typos must not silently fall back to Exact — the CI override job
+        // relies on unknown values failing loudly.
+        for typo in ["sq-8", "ivf_sq8", "SQ8", "quantized"] {
+            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
+        }
+    }
+
+    #[test]
+    fn sharded_override_values_parse_strictly() {
+        for (value, mapped, sq8) in [
+            ("sharded-ivf", false, false),
+            ("sharded-ivf-sq8", false, true),
+            ("sharded-ivf-mapped", true, false),
+            ("sharded-ivf-sq8-mapped", true, true),
+        ] {
+            let parsed = CandidateSearch::parse_override(value)
+                .unwrap_or_else(|| panic!("{value} must parse"));
+            assert_eq!(parsed.name(), value);
+            let CandidateSearch::Sharded(params) = &parsed else {
+                panic!("{value} must parse to Sharded");
+            };
+            // Defaults keep the override validation-safe: auto shard count,
+            // every shard routed — bit-identical to the unsharded engine.
+            assert_eq!((params.nshards, params.route_shards), (0, 0));
+            assert_eq!(
+                matches!(params.ivf.backing, StoreBacking::Mapped(_)),
+                mapped
+            );
+            assert_eq!(matches!(params.ivf.storage, IvfListStorage::Sq8(_)), sq8);
+        }
+        for typo in ["sharded", "sharded-sq8", "sharded-exact", "ivf-sharded"] {
+            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
+        }
+    }
+
+    #[test]
     fn lsm_override_values_parse_strictly() {
         for (value, mapped, sq8) in [
             ("lsm-ivf", false, false),
@@ -1635,6 +1557,33 @@ mod tests {
             );
         }
         for typo in ["lsm", "lsm-sq8", "lsm-exact", "ivf-lsm"] {
+            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
+        }
+    }
+
+    #[test]
+    fn override_grammar_accepts_exactly_its_values() {
+        // Every listed value round-trips through the parser and the name,
+        // and the error message spells the whole grammar.
+        let message = CandidateSearch::from_env_value(Some("ivff"))
+            .unwrap_err()
+            .to_string();
+        for value in OVERRIDE_VALUES {
+            let parsed = CandidateSearch::parse_override(value)
+                .unwrap_or_else(|| panic!("{value} must parse"));
+            assert_eq!(parsed.name(), value);
+            assert!(message.contains(value), "{value} missing from: {message}");
+        }
+        // Off-grammar combinations of otherwise valid parts must not
+        // silently fall back to Exact either.
+        for typo in [
+            "exact-mapped",
+            "lsm-sharded-ivf",
+            "sq8-sq8",
+            "mapped",
+            "-mapped",
+            "ivff",
+        ] {
             assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
         }
     }
@@ -1795,33 +1744,6 @@ mod tests {
     }
 
     #[test]
-    fn env_override_values_parse_strictly() {
-        assert_eq!(
-            CandidateSearch::parse_override(""),
-            Some(CandidateSearch::Exact)
-        );
-        assert_eq!(
-            CandidateSearch::parse_override("exact"),
-            Some(CandidateSearch::Exact)
-        );
-        assert_eq!(
-            CandidateSearch::parse_override("ivf"),
-            Some(CandidateSearch::Ivf(IvfParams::default()))
-        );
-        assert_eq!(
-            CandidateSearch::parse_override("sq8"),
-            Some(CandidateSearch::Sq8(Sq8Params::default()))
-        );
-        let ivf_sq8 = CandidateSearch::parse_override("ivf-sq8").unwrap();
-        assert_eq!(ivf_sq8.name(), "ivf-sq8");
-        // Typos must not silently fall back to Exact — the CI override job
-        // relies on unknown values failing loudly.
-        for typo in ["sq-8", "ivf_sq8", "SQ8", "quantized"] {
-            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
-        }
-    }
-
-    #[test]
     fn candidate_search_strategies_build_compatible_indexes() {
         use ea_graph::EntityId;
         let s = random_table(21, 30, 6);
@@ -1851,34 +1773,6 @@ mod tests {
             let b = ivf.best_source_for_target(t_id).unwrap();
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-    }
-
-    #[test]
-    fn sharded_override_values_parse_strictly() {
-        for (value, mapped, sq8) in [
-            ("sharded-ivf", false, false),
-            ("sharded-ivf-sq8", false, true),
-            ("sharded-ivf-mapped", true, false),
-            ("sharded-ivf-sq8-mapped", true, true),
-        ] {
-            let parsed = CandidateSearch::parse_override(value)
-                .unwrap_or_else(|| panic!("{value} must parse"));
-            assert_eq!(parsed.name(), value);
-            let CandidateSearch::Sharded(params) = &parsed else {
-                panic!("{value} must parse to Sharded");
-            };
-            // Defaults keep the override validation-safe: auto shard count,
-            // every shard routed — bit-identical to the unsharded engine.
-            assert_eq!((params.nshards, params.route_shards), (0, 0));
-            assert_eq!(
-                matches!(params.ivf.backing, StoreBacking::Mapped(_)),
-                mapped
-            );
-            assert_eq!(matches!(params.ivf.storage, IvfListStorage::Sq8(_)), sq8);
-        }
-        for typo in ["sharded", "sharded-sq8", "sharded-exact", "ivf-sharded"] {
-            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
         }
     }
 

@@ -45,10 +45,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 /// Default number of source rows per parallel work block.
-const DEFAULT_ROW_TILE: usize = 128;
+pub(crate) const DEFAULT_ROW_TILE: usize = 128;
 /// Default number of target columns per cache tile: the tile's normalised
 /// target rows stay hot while every source row of the block scans them.
-const DEFAULT_COL_TILE: usize = 256;
+pub(crate) const DEFAULT_COL_TILE: usize = 256;
 
 /// Scans one block of query rows against the whole corpus in column tiles,
 /// keeping the per-row top-`cap` candidates. Pure function of its inputs:
@@ -93,7 +93,7 @@ fn process_block(
 /// results in input order: the flattened top-`cap` lists of every query row
 /// against the corpus. Peak transient memory is the block outputs themselves
 /// — O(queries · cap).
-fn blocked_topk(
+pub(crate) fn blocked_topk(
     queries: &EmbeddingTable,
     corpus: &EmbeddingTable,
     cap: usize,
@@ -115,6 +115,26 @@ fn blocked_topk(
         })
         .collect();
     blocks.concat()
+}
+
+/// One side of a one-shot candidate search: the raw embedding table, the
+/// entities whose rows take part, and those rows gathered and L2-normalised
+/// once ([`EmbeddingTable::gather_normalized`]).
+pub(crate) struct Side<'a> {
+    pub(crate) table: &'a EmbeddingTable,
+    pub(crate) ids: &'a [EntityId],
+    pub(crate) norm: EmbeddingTable,
+}
+
+impl<'a> Side<'a> {
+    fn new(table: &'a EmbeddingTable, ids: &'a [EntityId]) -> Self {
+        let rows: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+        Side {
+            table,
+            ids,
+            norm: table.gather_normalized(&rows),
+        }
+    }
 }
 
 /// Bounded top-k candidate lists between source and target entities — the
@@ -212,49 +232,40 @@ impl CandidateIndex {
     ) -> Self {
         let row_tile = row_tile.max(1);
         let col_tile = col_tile.max(1);
-        let row_len = k.min(target_ids.len());
-
-        // One-time normalisation pass; all scoring below is plain dots.
-        let source_rows: Vec<usize> = source_ids.iter().map(|s| s.index()).collect();
-        let target_rows: Vec<usize> = target_ids.iter().map(|t| t.index()).collect();
-        let source_norm = source_table.gather_normalized(&source_rows);
-        let target_norm = target_table.gather_normalized(&target_rows);
-
-        let forward = blocked_topk(&source_norm, &target_norm, row_len, row_tile, col_tile);
-
-        // Reverse neighbourhoods are the forward problem transposed; the
-        // dot-product kernel is symmetric bit for bit, so these scores equal
-        // the forward ones exactly.
-        let backward = if reverse {
-            let rev_len = k.min(source_ids.len());
-            Some(blocked_topk(
-                &target_norm,
-                &source_norm,
-                rev_len,
-                row_tile,
-                col_tile,
-            ))
-        } else {
-            None
-        };
-
-        Self::from_parts(source_ids, target_ids, k, forward, backward)
+        Self::from_passes(
+            source_table,
+            source_ids,
+            target_table,
+            target_ids,
+            k,
+            reverse,
+            |queries, corpus, cap| {
+                blocked_topk(&queries.norm, &corpus.norm, cap, row_tile, col_tile)
+            },
+        )
     }
 
-    /// Assembles an index from flattened best-first candidate lists (exactly
-    /// `k.min(n_t)` forward entries per source row and, when present,
-    /// `k.min(n_s)` reverse entries per target column) — the shared tail of
-    /// the exact blocked scan and the IVF pre-filtered scan.
-    pub(crate) fn from_parts(
+    /// The one-shot build every engine shares: normalise both sides once,
+    /// run the engine's directed `pass` source → target for the forward
+    /// lists and, when `reverse`, target → source for the reverse lists (the
+    /// transposed problem; the kernel is symmetric bit for bit), then
+    /// assemble. A pass returns exactly `cap` best-first entries per query
+    /// row, `Ranked::index` being a corpus-side position.
+    pub(crate) fn from_passes(
+        source_table: &EmbeddingTable,
         source_ids: &[EntityId],
+        target_table: &EmbeddingTable,
         target_ids: &[EntityId],
         k: usize,
-        forward: Vec<Ranked>,
-        backward: Option<Vec<Ranked>>,
+        reverse: bool,
+        pass: impl Fn(&Side, &Side, usize) -> Vec<Ranked>,
     ) -> Self {
+        let source = Side::new(source_table, source_ids);
+        let target = Side::new(target_table, target_ids);
         let n_s = source_ids.len();
         let n_t = target_ids.len();
         let row_len = k.min(n_t);
+        let forward = pass(&source, &target, row_len);
         debug_assert_eq!(forward.len(), n_s * row_len, "forward lists must be full");
 
         let mut cand_cols = Vec::with_capacity(forward.len());
@@ -264,11 +275,11 @@ impl CandidateIndex {
             cand_scores.push(entry.score);
         }
 
-        let has_reverse = backward.is_some();
-        let rev_len = if has_reverse { k.min(n_s) } else { 0 };
+        let rev_len = if reverse { k.min(n_s) } else { 0 };
         let mut rev_rows = Vec::new();
         let mut rev_scores = Vec::new();
-        if let Some(backward) = backward {
+        if reverse {
+            let backward = pass(&target, &source, rev_len);
             debug_assert_eq!(backward.len(), n_t * rev_len, "reverse lists must be full");
             rev_rows.reserve(backward.len());
             rev_scores.reserve(backward.len());
@@ -295,7 +306,7 @@ impl CandidateIndex {
             row_len,
             cand_cols,
             cand_scores,
-            has_reverse,
+            has_reverse: reverse,
             rev_len,
             rev_rows,
             rev_scores,

@@ -43,21 +43,24 @@
 //!   lists that makes per-shard (and per-block) results composable: merging
 //!   partials through a [`topk::TopK`] selects bit for bit what one global
 //!   selector over the union would.
-//! * [`shard`] — horizontal scale-out: [`ShardedIndex`] splits the corpus
-//!   into N independently built per-shard engines (in-memory or on-disk
-//!   containers), a [`ShardRouter`] ranks shards by IVF-centroid proximity
-//!   so most queries probe few shards, and scatter-gather execution fans the
-//!   shards over rayon and heap-merges the partial lists — bit-identical to
-//!   a single-shard build when every shard is routed
-//!   ([`CandidateSearch::Sharded`]).
-//! * [`lsm`] — incremental corpora: [`lsm::MutableIndex`] layers immutable
-//!   sealed segments (resident engines or on-disk containers) under a small
+//! * `segment` (crate-private) — the one segment layer the next two modules
+//!   share: a segment is an immutable IVF engine over a fixed row set,
+//!   resident or an on-disk container (whose IVF state is checked once, at
+//!   open), and one gather folds per-segment partial lists through
+//!   [`topk::TopK::merge`] in fixed query tiles.
+//! * [`shard`] — horizontal scale-out = segments + a clustered partition +
+//!   a centroid router: [`ShardedIndex`] splits the corpus into N
+//!   independently built segments, a [`ShardRouter`] ranks shards by
+//!   IVF-centroid proximity so most queries probe few shards, and the
+//!   partial lists are gathered — bit-identical to a single-shard build when
+//!   every shard is routed ([`CandidateSearch::Sharded`]).
+//! * [`lsm`] — incremental corpora = time-ordered segments + shadow masks:
+//!   [`lsm::MutableIndex`] layers immutable sealed segments under a small
 //!   exact-scanned in-memory mutable segment, with tombstone shadowing for
-//!   deletes and a deterministic caller-driven `compact()`. Query-time
-//!   gather-merge through [`topk::TopK::merge`] keeps an N-segment search
-//!   bit-identical to a single engine over the live corpus
-//!   ([`CandidateSearch::Lsm`]), so inserts and deletes no longer force a
-//!   full rebuild.
+//!   deletes and a deterministic caller-driven `compact()`. The shared
+//!   gather keeps an N-segment search bit-identical to a single engine over
+//!   the live corpus ([`CandidateSearch::Lsm`]), so inserts and deletes no
+//!   longer force a full rebuild.
 //! * [`order`] — NaN-safe total-order comparators every ranking sorts with.
 //! * [`storage`] — the out-of-core candidate store: a versioned, checksummed
 //!   on-disk container for IVF lists, SQ8 code panels and the normalised f32
@@ -88,6 +91,7 @@ pub mod optimizer;
 pub mod order;
 pub mod quantized;
 pub mod sampling;
+mod segment;
 pub mod shard;
 pub mod similarity;
 pub mod storage;

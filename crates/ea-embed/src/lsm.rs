@@ -3,13 +3,15 @@
 //!
 //! Every other engine in this crate is build-once: any insert or delete
 //! means a full rebuild. A [`MutableIndex`] lifts that restriction the way
-//! log-structured merge trees do, out of parts the crate already defends:
+//! log-structured merge trees do: it is the crate's segment layer (the one
+//! [`crate::ShardedIndex`] runs on) under time-ordered segments plus shadow
+//! masks:
 //!
 //! * **Sealed segments** — immutable per-segment engines over earlier rows:
-//!   a resident [`IvfIndex`] or an on-disk candidate container written by
-//!   the streaming builder and served through [`MappedIndex`]. Exactly the
-//!   single-container engine the property suites pin, over a subset of the
-//!   live rows.
+//!   a resident [`IvfIndex`](crate::IvfIndex) or an on-disk candidate
+//!   container written by the streaming builder and served through the
+//!   mapped store. Exactly the single-container engine the property suites
+//!   pin, over a subset of the live rows.
 //! * **The mutable segment** — a small in-memory tail of recently inserted
 //!   rows, normalised once on insert and scanned *exactly* with the shared
 //!   [`crate::kernel`] (clamped bit-exact dots, like every engine).
@@ -23,8 +25,9 @@
 //! can never starve the merge), shadowed rows are filtered, segment-local
 //! rows are remapped to *canonical live positions* — ascending (segment id,
 //! local row), mutable segment last — and the per-query lists are folded
-//! through one [`TopK`] ([`TopK::merge`]). The remap is monotone within
-//! each segment, so by the same set-purity argument the shard layer pins
+//! through one [`TopK`] ([`TopK::merge`]), the gather the shard layer
+//! shares. The remap is monotone within each segment, so by the same
+//! set-purity argument the shard layer pins
 //! (`rank_cmp` is a strict total order ⇒ the merged selection is a pure
 //! function of the candidate multiset), a search over N segments is
 //! **bit-identical** — ids and score bits — to a single engine built over
@@ -49,21 +52,16 @@
 //! through the [`crate::CandidateSource`] trait (`EXEA_CANDIDATE_SEARCH=lsm-*`),
 //! so prediction, repair and verification downstream ride it unchanged.
 
-use crate::ann::{IvfIndex, IvfListStorage, IvfParams};
-use crate::candidates::CandidateIndex;
+use crate::ann::{IvfParams, ROW_TILE};
+use crate::candidates::Side;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::quantized::Sq8Params;
-use crate::storage::{self, MappedIndex, OpenOptions, StorageError, StoreBacking, TableRows};
+use crate::segment::{self, SegmentStore};
+use crate::storage::{StorageError, TableRows};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
-use ea_graph::EntityId;
 use rayon::prelude::*;
 use std::collections::HashMap;
-
-/// Queries per parallel work block of the mutable-segment scan, matching
-/// the engines' fan-out tile.
-const LSM_QUERY_TILE: usize = 128;
 
 /// Default row budget of the mutable segment before it is sealed.
 const DEFAULT_SEAL_ROWS: usize = 512;
@@ -130,23 +128,21 @@ struct Segment {
     store: SegmentStore,
 }
 
-#[derive(Debug)]
-enum SegmentStore {
-    /// Resident panels: the segment rows plus an [`IvfIndex`] built over
-    /// them (which owns the SQ8 codes when the params ask for them).
-    Resident {
-        table: EmbeddingTable,
-        index: IvfIndex,
-    },
-    /// An independently built candidate container served through
-    /// [`MappedIndex`]; the spill guard removes the file on drop.
-    Mapped {
-        index: MappedIndex,
-        _spill: storage::SpillGuard,
-    },
-}
-
 impl Segment {
+    /// A segment over `table`'s rows, all live, built with `ivf`.
+    fn build(
+        table: &EmbeddingTable,
+        entities: Vec<u32>,
+        ivf: &IvfParams,
+    ) -> Result<Segment, StorageError> {
+        Ok(Segment {
+            alive: vec![true; entities.len()],
+            dead: 0,
+            entities,
+            store: SegmentStore::build(&TableRows::new(table), ivf)?,
+        })
+    }
+
     fn rows(&self) -> usize {
         self.entities.len()
     }
@@ -155,84 +151,23 @@ impl Segment {
         self.entities.len() - self.dead
     }
 
-    /// Coarse list count of the segment engine, for nprobe resolution.
-    fn nlist(&self) -> usize {
-        match &self.store {
-            SegmentStore::Resident { index, .. } => index.nlist(),
-            SegmentStore::Mapped { index, .. } => index
-                .ivf()
-                .expect("sealed segments always carry IVF state")
-                .nlist(),
-        }
-    }
-
-    /// Best-first partial top-k over this segment's rows, segment-local
-    /// ids, exactly `queries.rows() * cap` entries.
-    fn search_flat(
-        &self,
-        queries: &EmbeddingTable,
-        sq8: Option<&Sq8Params>,
-        cap: usize,
-        nprobe: usize,
-    ) -> Vec<Ranked> {
-        match &self.store {
-            SegmentStore::Resident { table, index } => {
-                index.search_flat(queries, table, cap, nprobe)
-            }
-            SegmentStore::Mapped { index, .. } => index
-                .ivf()
-                .expect("sealed segments always carry IVF state")
-                .search_flat_store(queries, index.store(), sq8, cap, nprobe),
-        }
-    }
-
     /// Appends this segment's live rows (ascending local order, the
-    /// canonical order) to `data`/`entities` — the compaction gather.
-    /// Mapped segments are streamed back in bounded chunks.
+    /// canonical order) to `data`/`entities` — the compaction gather,
+    /// streamed back in bounded chunks.
     fn gather_live(&self, dim: usize, data: &mut Vec<f32>, entities: &mut Vec<u32>) {
-        match &self.store {
-            SegmentStore::Resident { table, .. } => {
-                for (local, &alive) in self.alive.iter().enumerate() {
-                    if alive {
-                        data.extend_from_slice(table.row(local));
-                        entities.push(self.entities[local]);
-                    }
+        let mut chunk = vec![0.0f32; COMPACT_CHUNK_ROWS.min(self.rows().max(1)) * dim];
+        let mut start = 0usize;
+        while start < self.rows() {
+            let take = COMPACT_CHUNK_ROWS.min(self.rows() - start);
+            self.store.read_rows(start, &mut chunk[..take * dim]);
+            for local in start..start + take {
+                if self.alive[local] {
+                    let rel = (local - start) * dim;
+                    data.extend_from_slice(&chunk[rel..rel + dim]);
+                    entities.push(self.entities[local]);
                 }
             }
-            SegmentStore::Mapped { index, .. } => {
-                let store = index.store();
-                let mut chunk = vec![0.0f32; COMPACT_CHUNK_ROWS.min(self.rows().max(1)) * dim];
-                let mut start = 0usize;
-                while start < self.rows() {
-                    let take = COMPACT_CHUNK_ROWS.min(self.rows() - start);
-                    store.read_f32_rows(start, &mut chunk[..take * dim]);
-                    for local in start..start + take {
-                        if self.alive[local] {
-                            let rel = (local - start) * dim;
-                            data.extend_from_slice(&chunk[rel..rel + dim]);
-                            entities.push(self.entities[local]);
-                        }
-                    }
-                    start += take;
-                }
-            }
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.entities.len() * 5
-            + match &self.store {
-                SegmentStore::Resident { table, index } => {
-                    table.data().len() * 4 + index.resident_bytes()
-                }
-                SegmentStore::Mapped { index, .. } => index.resident_bytes(),
-            }
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        match &self.store {
-            SegmentStore::Resident { .. } => 0,
-            SegmentStore::Mapped { index, .. } => index.stored_bytes(),
+            start += take;
         }
     }
 }
@@ -336,13 +271,13 @@ impl MutableIndex {
             + self
                 .sealed
                 .iter()
-                .map(Segment::resident_bytes)
+                .map(|seg| seg.entities.len() * 5 + seg.store.resident_bytes())
                 .sum::<usize>()
     }
 
     /// Container bytes of the mapped sealed segments (0 when resident).
     pub fn stored_bytes(&self) -> u64 {
-        self.sealed.iter().map(Segment::stored_bytes).sum()
+        self.sealed.iter().map(|seg| seg.store.stored_bytes()).sum()
     }
 
     /// Container paths of the mapped sealed segments, ascending segment id
@@ -353,10 +288,7 @@ impl MutableIndex {
     pub fn segment_paths(&self) -> Vec<&std::path::Path> {
         self.sealed
             .iter()
-            .filter_map(|seg| match &seg.store {
-                SegmentStore::Resident { .. } => None,
-                SegmentStore::Mapped { _spill, .. } => Some(_spill.path()),
-            })
+            .filter_map(|seg| seg.store.spill_path())
             .collect()
     }
 
@@ -449,9 +381,9 @@ impl MutableIndex {
             }
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let store = build_segment_store(table, &self.params.ivf)?;
+        let segment = Segment::build(&table, entities, &self.params.ivf)?;
         let seg = self.sealed.len() as u32;
-        for (row, &entity) in entities.iter().enumerate() {
+        for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
                 entity,
                 Slot::Sealed {
@@ -460,12 +392,7 @@ impl MutableIndex {
                 },
             );
         }
-        self.sealed.push(Segment {
-            alive: vec![true; entities.len()],
-            dead: 0,
-            entities,
-            store,
-        });
+        self.sealed.push(segment);
         self.mem.clear();
         Ok(())
     }
@@ -497,8 +424,8 @@ impl MutableIndex {
             seg.gather_live(self.dim, &mut data, &mut entities);
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let store = build_segment_store(table, &self.params.ivf)?;
-        for (row, &entity) in entities.iter().enumerate() {
+        let segment = Segment::build(&table, entities, &self.params.ivf)?;
+        for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
                 entity,
                 Slot::Sealed {
@@ -507,12 +434,7 @@ impl MutableIndex {
                 },
             );
         }
-        self.sealed = vec![Segment {
-            alive: vec![true; entities.len()],
-            dead: 0,
-            entities,
-            store,
-        }];
+        self.sealed = vec![segment];
         Ok(())
     }
 
@@ -591,10 +513,6 @@ impl MutableIndex {
         if cap == 0 || n_q == 0 {
             return Vec::new();
         }
-        let sq8 = match &self.params.ivf.storage {
-            IvfListStorage::Flat => None,
-            IvfListStorage::Sq8(sq8) => Some(sq8.clone()),
-        };
 
         // Scatter: per-segment partial lists in fixed segment order, each
         // over-fetched by the segment's shadowed-row count (at most `dead`
@@ -612,8 +530,7 @@ impl MutableIndex {
             }
             let (pos, next) = Self::canonical_positions(&seg.alive, base);
             let cap_s = (cap + seg.dead).min(seg.rows());
-            let nprobe = self.params.ivf.resolved_nprobe(seg.nlist());
-            let flat = seg.search_flat(queries, sq8.as_ref(), cap_s, nprobe);
+            let flat = seg.store.search_flat(queries, cap_s, &self.params.ivf);
             debug_assert_eq!(flat.len(), n_q * cap_s, "segment lists must be full");
             let lists: Vec<Vec<Ranked>> = (0..n_q)
                 .map(|q| {
@@ -638,25 +555,9 @@ impl MutableIndex {
         // in fixed segment order — the merge contract makes the kept set a
         // pure function of the candidate multiset, so segment boundaries
         // (and rayon scheduling inside the scatter) can't change a bit.
-        let blocks: Vec<usize> = (0..n_q).step_by(LSM_QUERY_TILE).collect();
-        let merged: Vec<Vec<Ranked>> = blocks
-            .par_iter()
-            .map(|&start| {
-                let end = (start + LSM_QUERY_TILE).min(n_q);
-                let mut out = Vec::with_capacity((end - start) * cap);
-                for q in start..end {
-                    let mut select = TopK::new(cap);
-                    for lists in &partials {
-                        select.merge(&lists[q]);
-                    }
-                    let sorted = select.into_sorted();
-                    debug_assert_eq!(sorted.len(), cap, "live rows must fill the selection");
-                    out.extend(sorted);
-                }
-                out
-            })
-            .collect();
-        merged.concat()
+        segment::gather(n_q, cap, |q| {
+            partials.iter().map(move |lists| lists[q].as_slice())
+        })
     }
 
     /// [`MutableIndex::search_flat`] with `Ranked::index` remapped to
@@ -680,11 +581,11 @@ impl MutableIndex {
         let n_q = queries.rows();
         let rows = self.mem.rows();
         let (pos, _) = Self::canonical_positions(&self.mem.alive, base);
-        let blocks: Vec<usize> = (0..n_q).step_by(LSM_QUERY_TILE).collect();
+        let blocks: Vec<usize> = (0..n_q).step_by(ROW_TILE).collect();
         let nested: Vec<Vec<Vec<Ranked>>> = blocks
             .par_iter()
             .map(|&start| {
-                let end = (start + LSM_QUERY_TILE).min(n_q);
+                let end = (start + ROW_TILE).min(n_q);
                 let mut scores = vec![0.0f32; rows];
                 let mut lists = Vec::with_capacity(end - start);
                 for q in start..end {
@@ -720,106 +621,31 @@ fn normalize_into(row: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Builds the engine of one sealed segment: a resident [`IvfIndex`], or a
-/// streamed on-disk container behind a spill guard (removed when the
-/// segment is dropped). Errors propagate with the partial container already
-/// cleaned up by the writer's RAII guard.
-fn build_segment_store(
-    table: EmbeddingTable,
-    ivf: &IvfParams,
-) -> Result<SegmentStore, StorageError> {
-    match &ivf.backing {
-        StoreBacking::InMemory => {
-            let index = IvfIndex::build(&table, ivf);
-            Ok(SegmentStore::Resident { table, index })
-        }
-        StoreBacking::Mapped(options) => {
-            let guard = storage::new_spill(options);
-            // Freshly written by this process — skip re-hashing, like the
-            // one-shot spill path.
-            let open = OpenOptions {
-                prefer_mmap: storage::resolved_prefer_mmap(options),
-                verify: false,
-            };
-            storage::save_ivf_streaming_with_sync(
-                &TableRows::new(&table),
-                ivf,
-                guard.path(),
-                0,
-                false,
-            )?;
-            let index = MappedIndex::open_with(guard.path(), &open)?;
-            Ok(SegmentStore::Mapped {
-                index,
-                _spill: guard,
-            })
-        }
-    }
-}
-
-/// One directed LSM pass: build a [`MutableIndex`] over the *raw* corpus
-/// rows (insertion normalises them once, bit-identically to the one-time
-/// gather), sealing every `seal_rows` inserts, then search with the
-/// normalised queries. Corpus entities are corpus-local positions, so the
-/// returned lists slot straight into [`CandidateIndex::from_parts`].
-fn lsm_search_backed(
-    query_table: &EmbeddingTable,
-    query_ids: &[EntityId],
-    corpus_table: &EmbeddingTable,
-    corpus_ids: &[EntityId],
+/// One directed LSM pass of the one-shot [`crate::CandidateSource`] path:
+/// a [`MutableIndex`] over the corpus side's *raw* rows (insertion
+/// normalises each once, bit-identically to the one-time gather, where
+/// renormalising a gathered unit row would change low bits), sealing every
+/// `seal_rows` inserts, searched with the normalised query rows. Corpus
+/// entities are corpus-local positions, as the assembly expects.
+pub(crate) fn lsm_pass(
+    queries: &Side,
+    corpus: &Side,
     cap: usize,
     params: &LsmParams,
 ) -> Vec<Ranked> {
-    let mut index = MutableIndex::new(corpus_table.dim(), params.clone());
-    for (i, id) in corpus_ids.iter().enumerate() {
+    let mut index = MutableIndex::new(corpus.table.dim(), params.clone());
+    for (i, id) in corpus.ids.iter().enumerate() {
         index
-            .insert(i as u32, corpus_table.row(id.index()))
+            .insert(i as u32, corpus.table.row(id.index()))
             .unwrap_or_else(|e| panic!("lsm segment seal failed: {e}"));
     }
-    let query_rows: Vec<usize> = query_ids.iter().map(|q| q.index()).collect();
-    let query_norm = query_table.gather_normalized(&query_rows);
-    index.search(&query_norm, cap)
-}
-
-/// One-shot LSM candidate generation behind [`crate::CandidateSource`]:
-/// forward lists from an index over the target rows, reverse lists (when
-/// asked) from a second index over the source rows — the transposed
-/// problem, exactly like the other engines' second pass.
-pub(crate) fn lsm_candidate_index(
-    source_table: &EmbeddingTable,
-    source_ids: &[EntityId],
-    target_table: &EmbeddingTable,
-    target_ids: &[EntityId],
-    k: usize,
-    reverse: bool,
-    params: &LsmParams,
-) -> CandidateIndex {
-    let forward = lsm_search_backed(
-        source_table,
-        source_ids,
-        target_table,
-        target_ids,
-        k.min(target_ids.len()),
-        params,
-    );
-    let backward = if reverse {
-        Some(lsm_search_backed(
-            target_table,
-            target_ids,
-            source_table,
-            source_ids,
-            k.min(source_ids.len()),
-            params,
-        ))
-    } else {
-        None
-    };
-    CandidateIndex::from_parts(source_ids, target_ids, k, forward, backward)
+    index.search(&queries.norm, cap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ann::IvfIndex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -39,19 +39,14 @@
 //! quantized scan) or [`IvfListStorage::Sq8`](crate::IvfListStorage) (IVF-SQ:
 //! quantized inverted-list scans inside [`crate::IvfIndex`]).
 
-use crate::candidates::CandidateIndex;
+use crate::ann::ROW_TILE;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::storage::{
     self, InMemory, ListStore, StorageError, StoreBacking, StoreScratch, TableRows,
 };
 use crate::topk::{Ranked, TopK};
-use ea_graph::EntityId;
 use rayon::prelude::*;
-
-/// Query rows per parallel work block in the quantized scan (same fan-out
-/// shape as the exact engine: fixed blocks, order-preserving concat).
-const SQ8_ROW_TILE: usize = 128;
 
 /// Default [`Sq8Params::rerank_factor`] when left at 0 ("choose
 /// automatically").
@@ -638,11 +633,11 @@ pub(crate) fn sq8_topk_flat(
     if cap == 0 || n_q == 0 {
         return Vec::new();
     }
-    let block_starts: Vec<usize> = (0..n_q).step_by(SQ8_ROW_TILE).collect();
+    let block_starts: Vec<usize> = (0..n_q).step_by(ROW_TILE).collect();
     let blocks: Vec<Vec<Ranked>> = block_starts
         .par_iter()
         .map(|&start| {
-            let end = (start + SQ8_ROW_TILE).min(n_q);
+            let end = (start + ROW_TILE).min(n_q);
             let mut scratch = Sq8Scratch::new();
             let mut out = Vec::with_capacity((end - start) * cap);
             for q in start..end {
@@ -662,11 +657,12 @@ pub(crate) fn sq8_topk_flat(
     blocks.concat()
 }
 
-/// One directed SQ8 pass: quantize the (normalised) corpus side, then run
-/// the blocked ADC scan + exact re-rank — through the in-memory panels, or
-/// through a spilled on-disk container when `params.backing` says so
-/// (bit-identical results either way; the spill file is removed afterwards).
-fn sq8_topk_backed(
+/// One directed SQ8 pass of the one-shot [`crate::CandidateSearch::Sq8`]
+/// build: quantize the (normalised) corpus side, then run the blocked ADC
+/// scan + exact re-rank — through the in-memory panels, or through a
+/// spilled on-disk container when `params.backing` says so (bit-identical
+/// results either way; the spill file is removed afterwards).
+pub(crate) fn sq8_pass(
     queries: &EmbeddingTable,
     corpus_norm: &EmbeddingTable,
     cap: usize,
@@ -691,44 +687,6 @@ fn sq8_topk_backed(
             |mapped| sq8_topk_flat(queries, mapped.store(), cap, rerank),
         ),
     }
-}
-
-/// One-shot SQ8 candidate generation (the [`crate::CandidateSearch::Sq8`]
-/// strategy): normalise, quantize the corpus side(s), run the blocked ADC
-/// scan + exact re-rank, assemble a [`CandidateIndex`]. The reverse lists of
-/// a bidirectional index come from quantizing the *source* rows scanned by
-/// the target rows — the transposed problem, exactly like the exact engine's
-/// second pass.
-pub(crate) fn sq8_candidate_index(
-    source_table: &EmbeddingTable,
-    source_ids: &[EntityId],
-    target_table: &EmbeddingTable,
-    target_ids: &[EntityId],
-    k: usize,
-    reverse: bool,
-    params: &Sq8Params,
-) -> CandidateIndex {
-    let source_rows: Vec<usize> = source_ids.iter().map(|s| s.index()).collect();
-    let target_rows: Vec<usize> = target_ids.iter().map(|t| t.index()).collect();
-    let source_norm = source_table.gather_normalized(&source_rows);
-    let target_norm = target_table.gather_normalized(&target_rows);
-
-    let forward_cap = k.min(target_ids.len());
-    let forward = sq8_topk_backed(&source_norm, &target_norm, forward_cap, params);
-
-    let backward = if reverse {
-        let backward_cap = k.min(source_ids.len());
-        Some(sq8_topk_backed(
-            &target_norm,
-            &source_norm,
-            backward_cap,
-            params,
-        ))
-    } else {
-        None
-    };
-
-    CandidateIndex::from_parts(source_ids, target_ids, k, forward, backward)
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! Sharded scatter-gather candidate generation: horizontal scale-out of the
 //! candidate ladder.
 //!
-//! A [`ShardedIndex`] splits the (normalised) corpus into `nshards`
-//! partitions and builds one *independent* engine per shard — an in-memory
-//! [`IvfIndex`] or an on-disk candidate container written by the streaming
-//! builder and served through [`MappedIndex`]. Each shard is exactly the
-//! single-container engine the rest of the crate already defends, over a
-//! subset of the rows; nothing about per-shard scoring changes.
+//! Sharding is the crate's segment layer under a clustered partition plus a
+//! centroid router. A [`ShardedIndex`] splits the (normalised) corpus into
+//! `nshards` partitions and builds one segment per shard — an in-memory
+//! [`IvfIndex`](crate::IvfIndex) or an on-disk candidate container written by
+//! the streaming builder and served through the mapped store — plus the
+//! shard-local → global row map. The LSM engine ([`crate::MutableIndex`])
+//! runs on the same segments. Each segment is exactly the single-container
+//! engine the rest of the crate already defends, over a subset of the rows;
+//! nothing about per-shard scoring changes.
 //!
 //! Queries run scatter-gather:
 //!
@@ -18,11 +21,12 @@
 //!    `min(k, n)` rows.
 //! 2. **Scatter** — the routed shards are fanned over the rayon pool in
 //!    fixed shard order; every shard answers its queries with the shared
-//!    engine paths ([`IvfIndex::search`] internals) and returns a
-//!    best-first partial top-k list whose shard-local row ids are remapped
-//!    to global corpus rows.
+//!    engine paths ([`IvfIndex::search`](crate::IvfIndex::search) internals)
+//!    and returns a best-first partial top-k list whose shard-local row ids
+//!    are remapped to global corpus rows.
 //! 3. **Gather** — per query, the partial lists are folded through one
-//!    [`TopK`] ([`TopK::merge`]): because the
+//!    [`TopK`](crate::topk::TopK) ([`TopK::merge`](crate::topk::TopK::merge)),
+//!    the gather the LSM engine shares: because the
 //!    canonical `(score desc, id asc)` ranking is a strict total order,
 //!    the merged selection is bit-for-bit what a single global selector
 //!    over the union of partials would have kept.
@@ -46,21 +50,14 @@
 //! SQ8 grids are partition-dependent: at non-exhaustive settings different
 //! shard counts select different — equally valid — subsets.
 
-use crate::ann::{self, IvfIndex, IvfListStorage, IvfParams};
-use crate::candidates::CandidateIndex;
+use crate::ann::{self, IvfListStorage, IvfParams, ROW_TILE};
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::quantized::Sq8Params;
-use crate::storage::{
-    self, MappedIndex, OpenOptions, RowSource, StorageError, StoreBacking, TableRows,
-};
-use crate::topk::{Ranked, TopK};
-use ea_graph::EntityId;
+use crate::segment::{self, SegmentStore};
+use crate::storage::{OpenOptions, RowSource, StorageError, StoreBacking, TableRows};
+use crate::topk::Ranked;
 use rayon::prelude::*;
 use std::path::Path;
-
-/// Queries per parallel work block, matching the engines' fan-out tile.
-const SHARD_ROW_TILE: usize = 128;
 
 /// Rows per shard the automatic `nshards = 0` sizing aims for.
 const AUTO_SHARD_ROWS: usize = 65_536;
@@ -174,138 +171,19 @@ impl RowSource for SubsetRows<'_> {
     }
 }
 
-/// One shard: its shard-local → global row map plus the engine that answers
-/// queries over its rows.
+/// One shard: its shard-local → global row map plus the segment engine
+/// that answers queries over its rows.
 #[derive(Debug)]
 struct Shard {
     /// `global[local]` is the corpus row of shard-local row `local`;
     /// ascending (both partitions assign rows in corpus order).
     global: Vec<u32>,
-    store: ShardStore,
-}
-
-#[derive(Debug)]
-enum ShardStore {
-    /// Resident panels: the gathered shard rows plus an [`IvfIndex`] built
-    /// over them (which owns the SQ8 codes when the params ask for them).
-    InMemory {
-        table: EmbeddingTable,
-        index: IvfIndex,
-    },
-    /// An independently built candidate container served through
-    /// [`MappedIndex`]; `_spill` (for build-time spills) removes the file
-    /// on drop. `None` for containers opened from explicit paths.
-    Mapped {
-        index: MappedIndex,
-        _spill: Option<storage::SpillGuard>,
-    },
+    store: SegmentStore,
 }
 
 impl Shard {
-    fn build(corpus: &EmbeddingTable, global: Vec<u32>, ivf: &IvfParams) -> Shard {
-        let dim = corpus.dim();
-        let store = match &ivf.backing {
-            StoreBacking::InMemory => {
-                let mut data = Vec::with_capacity(global.len() * dim);
-                for &row in &global {
-                    data.extend_from_slice(corpus.row(row as usize));
-                }
-                let table = EmbeddingTable::from_data(global.len(), dim, data);
-                let index = IvfIndex::build(&table, ivf);
-                ShardStore::InMemory { table, index }
-            }
-            StoreBacking::Mapped(options) => {
-                let guard = storage::new_spill(options);
-                let source = SubsetRows {
-                    table: corpus,
-                    rows: &global,
-                };
-                // Freshly written by this process — skip re-hashing, like
-                // the one-shot spill path.
-                let open = OpenOptions {
-                    prefer_mmap: storage::resolved_prefer_mmap(options),
-                    verify: false,
-                };
-                let index =
-                    storage::save_ivf_streaming_with_sync(&source, ivf, guard.path(), 0, false)
-                        .and_then(|_| MappedIndex::open_with(guard.path(), &open))
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "shard container spill to {} failed: {e}",
-                                guard.path().display()
-                            )
-                        });
-                ShardStore::Mapped {
-                    index,
-                    _spill: Some(guard),
-                }
-            }
-        };
-        Shard { global, store }
-    }
-
     fn rows(&self) -> usize {
         self.global.len()
-    }
-
-    /// The shard engine's coarse centroid panel (empty for a degenerate
-    /// zero-row shard).
-    fn centroid_panel(&self) -> &EmbeddingTable {
-        match &self.store {
-            ShardStore::InMemory { index, .. } => index.centroid_panel(),
-            ShardStore::Mapped { index, .. } => index
-                .ivf()
-                .expect("shard containers always carry IVF state")
-                .centroid_panel(),
-        }
-    }
-
-    fn nlist(&self) -> usize {
-        self.centroid_panel().rows()
-    }
-
-    /// Best-first partial top-k over this shard's rows, shard-local ids,
-    /// exactly `queries.rows() * cap` entries (for `cap > 0` and a
-    /// non-degenerate shard).
-    fn search_flat(
-        &self,
-        queries: &EmbeddingTable,
-        sq8: Option<&Sq8Params>,
-        cap: usize,
-        nprobe: usize,
-    ) -> Vec<Ranked> {
-        match &self.store {
-            ShardStore::InMemory { table, index } => index.search_flat(queries, table, cap, nprobe),
-            ShardStore::Mapped { index, .. } => index
-                .ivf()
-                .expect("shard containers always carry IVF state")
-                .search_flat_store(queries, index.store(), sq8, cap, nprobe),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let map_bytes = self.global.len() * 4;
-        map_bytes
-            + match &self.store {
-                ShardStore::InMemory { table, index } => {
-                    table.data().len() * 4 + index.resident_bytes()
-                }
-                ShardStore::Mapped { index, .. } => index.resident_bytes(),
-            }
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        match &self.store {
-            ShardStore::InMemory { .. } => 0,
-            ShardStore::Mapped { index, .. } => index.stored_bytes(),
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        match &self.store {
-            ShardStore::InMemory { .. } => "resident",
-            ShardStore::Mapped { index, .. } => index.backend(),
-        }
     }
 }
 
@@ -338,7 +216,7 @@ impl ShardRouter<'_> {
     fn rank_into(&self, query: &[f32], scores: &mut Vec<f32>, out: &mut Vec<Ranked>) {
         out.clear();
         for (s, shard) in self.shards.iter().enumerate() {
-            let centroids = shard.centroid_panel();
+            let centroids = shard.store.ivf().centroid_panel();
             let score = if centroids.rows() == 0 {
                 f32::NEG_INFINITY
             } else {
@@ -364,7 +242,7 @@ impl ShardRouter<'_> {
 }
 
 /// The sharded scatter-gather candidate engine: N independently built
-/// per-shard engines behind one [`IvfIndex::search`]-shaped query API. See
+/// per-shard engines behind one [`IvfIndex::search`](crate::IvfIndex::search)-shaped query API. See
 /// the [module docs](self) for the routing/scatter/gather pipeline and the
 /// determinism contract.
 #[derive(Debug)]
@@ -389,7 +267,15 @@ impl ShardedIndex {
         let nshards = params.resolved_nshards(n);
         let shards: Vec<Shard> = partition_rows(corpus, params, nshards)
             .into_iter()
-            .map(|global| Shard::build(corpus, global, &params.ivf))
+            .map(|global| {
+                let rows = SubsetRows {
+                    table: corpus,
+                    rows: &global,
+                };
+                let store = SegmentStore::build(&rows, &params.ivf)
+                    .unwrap_or_else(|e| panic!("shard container spill failed: {e}"));
+                Shard { global, store }
+            })
             .collect();
         ShardedIndex {
             shards,
@@ -416,32 +302,20 @@ impl ShardedIndex {
         let mut dim = 0usize;
         for path in paths {
             let path = path.as_ref();
-            let index = MappedIndex::open_with(path, options)?;
-            if !index.has_ivf() {
-                return Err(StorageError::SectionMissing {
-                    section: "centroids",
-                }
-                .at_path(path));
-            }
+            let store = SegmentStore::open(path, options)?;
             if shards.is_empty() {
-                dim = index.dim();
-            } else if index.dim() != dim {
+                dim = store.dim();
+            } else if store.dim() != dim {
                 return Err(StorageError::ShapeMismatch {
                     section: "f32 panel",
-                    detail: format!("shard dim {} != first shard dim {dim}", index.dim()),
+                    detail: format!("shard dim {} != first shard dim {dim}", store.dim()),
                 }
                 .at_path(path));
             }
-            let rows = index.rows();
+            let rows = store.rows();
             let global: Vec<u32> = (base..base + rows as u32).collect();
             base += rows as u32;
-            shards.push(Shard {
-                global,
-                store: ShardStore::Mapped {
-                    index,
-                    _spill: None,
-                },
-            });
+            shards.push(Shard { global, store });
         }
         Ok(ShardedIndex {
             shards,
@@ -487,20 +361,23 @@ impl ShardedIndex {
     /// per-shard coarse state (and panels, for resident shards) plus the
     /// shard-local → global row maps.
     pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(Shard::resident_bytes).sum()
+        self.shards
+            .iter()
+            .map(|s| s.global.len() * 4 + s.store.resident_bytes())
+            .sum()
     }
 
     /// Bytes of on-disk container storage backing the shard set (0 when
     /// every shard is resident).
     pub fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(Shard::stored_bytes).sum()
+        self.shards.iter().map(|s| s.store.stored_bytes()).sum()
     }
 
     /// The backend serving row gathers: `"resident"`, `"mmap"` or
     /// `"pread"` when every shard agrees (an empty shard set counts as
     /// resident), `"mixed"` otherwise.
     pub fn backend(&self) -> &'static str {
-        let mut backends = self.shards.iter().map(Shard::backend);
+        let mut backends = self.shards.iter().map(|s| s.store.backend());
         match backends.next() {
             None => "resident",
             Some(first) => {
@@ -542,8 +419,8 @@ impl ShardedIndex {
     }
 
     /// The flattened scatter-gather search (`queries.rows() * cap` entries,
-    /// `cap <= self.rows()`) consumed by the [`CandidateIndex`] assembly
-    /// path.
+    /// `cap <= self.rows()`) consumed by the [`crate::CandidateIndex`]
+    /// assembly path.
     pub(crate) fn search_flat(
         &self,
         queries: &EmbeddingTable,
@@ -563,7 +440,7 @@ impl ShardedIndex {
         );
         let route = route_shards.clamp(1, nshards);
         let router = self.router();
-        let block_starts: Vec<usize> = (0..n_q).step_by(SHARD_ROW_TILE).collect();
+        let block_starts: Vec<usize> = (0..n_q).step_by(ROW_TILE).collect();
 
         // Route: pure per-query function, fanned over fixed query blocks.
         // Minimum-fill at the shard level: keep taking shards in router rank
@@ -573,7 +450,7 @@ impl ShardedIndex {
         let routed: Vec<Vec<u32>> = block_starts
             .par_iter()
             .map(|&start| {
-                let end = (start + SHARD_ROW_TILE).min(n_q);
+                let end = (start + ROW_TILE).min(n_q);
                 let mut out = Vec::with_capacity(end - start);
                 let mut scores = Vec::new();
                 let mut ranked = Vec::new();
@@ -614,10 +491,6 @@ impl ShardedIndex {
 
         // Scatter: shards in fixed order over the rayon pool; each answers
         // its routed queries and remaps shard-local rows to global ids.
-        let sq8 = match &self.params.ivf.storage {
-            IvfListStorage::Flat => None,
-            IvfListStorage::Sq8(sq8) => Some(sq8),
-        };
         let shard_ids: Vec<usize> = (0..nshards).collect();
         let partials: Vec<Vec<Ranked>> = shard_ids
             .par_iter()
@@ -633,8 +506,7 @@ impl ShardedIndex {
                     data.extend_from_slice(queries.row(q as usize));
                 }
                 let sub = EmbeddingTable::from_data(queries_s.len(), self.dim, data);
-                let nprobe = self.params.ivf.resolved_nprobe(shard.nlist());
-                let mut flat = shard.search_flat(&sub, sq8, cap_s, nprobe);
+                let mut flat = shard.store.search_flat(&sub, cap_s, &self.params.ivf);
                 debug_assert_eq!(flat.len(), queries_s.len() * cap_s);
                 for entry in &mut flat {
                     entry.index = shard.global[entry.index as usize];
@@ -646,26 +518,13 @@ impl ShardedIndex {
         // Gather: fold each query's partial lists (fixed shard order)
         // through one selector — bit-identical to a single global top-k
         // over the union because the ranking is a strict total order.
-        block_starts
-            .par_iter()
-            .map(|&start| {
-                let end = (start + SHARD_ROW_TILE).min(n_q);
-                let mut out = Vec::with_capacity((end - start) * cap);
-                for query_slots in &slots[start..end] {
-                    let mut select = TopK::new(cap);
-                    for &(s, pos) in query_slots {
-                        let cap_s = cap.min(self.shards[s as usize].rows());
-                        let lo = pos as usize * cap_s;
-                        select.merge(&partials[s as usize][lo..lo + cap_s]);
-                    }
-                    let merged = select.into_sorted();
-                    debug_assert_eq!(merged.len(), cap, "shard min-fill must fill every list");
-                    out.extend(merged);
-                }
-                out
+        segment::gather(n_q, cap, |q| {
+            slots[q].iter().map(|&(s, pos)| {
+                let cap_s = cap.min(self.shards[s as usize].rows());
+                let lo = pos as usize * cap_s;
+                &partials[s as usize][lo..lo + cap_s]
             })
-            .collect::<Vec<_>>()
-            .concat()
+        })
     }
 }
 
@@ -704,41 +563,4 @@ fn partition_rows(corpus: &EmbeddingTable, params: &ShardParams, nshards: usize)
                 .collect()
         }
     }
-}
-
-/// One-shot sharded candidate generation: normalise, partition, build the
-/// per-shard engines, run the scatter-gather scan, assemble a
-/// [`CandidateIndex`] — the [`crate::CandidateSearch::Sharded`] strategy.
-/// The reverse lists of a bidirectional index come from a second shard set
-/// over the *source* rows probed by the target rows, exactly like the other
-/// engines' second pass.
-pub(crate) fn sharded_candidate_index(
-    source_table: &EmbeddingTable,
-    source_ids: &[EntityId],
-    target_table: &EmbeddingTable,
-    target_ids: &[EntityId],
-    k: usize,
-    reverse: bool,
-    params: &ShardParams,
-) -> CandidateIndex {
-    let source_rows: Vec<usize> = source_ids.iter().map(|s| s.index()).collect();
-    let target_rows: Vec<usize> = target_ids.iter().map(|t| t.index()).collect();
-    let source_norm = source_table.gather_normalized(&source_rows);
-    let target_norm = target_table.gather_normalized(&target_rows);
-
-    let forward = {
-        let index = ShardedIndex::build(&target_norm, params);
-        let route = params.resolved_route(index.nshards());
-        index.search_flat(&source_norm, k.min(target_ids.len()), route)
-    };
-
-    let backward = if reverse {
-        let index = ShardedIndex::build(&source_norm, params);
-        let route = params.resolved_route(index.nshards());
-        Some(index.search_flat(&target_norm, k.min(source_ids.len()), route))
-    } else {
-        None
-    };
-
-    CandidateIndex::from_parts(source_ids, target_ids, k, forward, backward)
 }

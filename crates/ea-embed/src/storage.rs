@@ -2034,6 +2034,19 @@ impl MappedIndex {
         &self.store
     }
 
+    /// Splits the container into its IVF quantizer, its row store and its
+    /// file size, for engines that cannot run without IVF state: a
+    /// container without IVF sections is
+    /// `SectionMissing { section: "centroids" }`.
+    pub(crate) fn into_ivf_parts(self) -> Result<(IvfIndex, MappedStore, u64), StorageError> {
+        match self.ivf {
+            Some(ivf) => Ok((ivf, self.store, self.stored_bytes)),
+            None => Err(StorageError::SectionMissing {
+                section: "centroids",
+            }),
+        }
+    }
+
     /// IVF search over the mapped panels: identical semantics (and bit-
     /// identical results) to [`IvfIndex::search`] on the in-memory corpus
     /// the container was saved from. When the container carries SQ8 codes
@@ -2216,7 +2229,7 @@ pub(crate) fn resolved_prefer_mmap(options: &MappedOptions) -> bool {
 
 /// Saves a container via `save`, opens it mapped, runs `search` against the
 /// [`MappedIndex`] and removes the spill file (on success, error *and*
-/// unwind) — the shared tail of the `*-mapped` one-shot candidate paths.
+/// unwind) — the tail of the `sq8-mapped` one-shot candidate path.
 ///
 /// # Panics
 /// Panics if the spill cannot be written or read back: the one-shot

@@ -3,9 +3,14 @@
 //! pipeline — prediction, repair (cr2/cr3), top-candidate verification —
 //! must make exactly the decisions the exact scan makes; with partial
 //! probing it must still produce a valid one-to-one repaired alignment.
+//! The same holds for every exhaustive engine layer (single, sharded, LSM)
+//! over every list storage and backing.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
-use ea_embed::{CandidateSearch, IvfParams};
+use ea_embed::{
+    CandidateSearch, CandidateSource, IvfListStorage, IvfParams, LsmParams, MappedOptions,
+    ShardParams, Sq8Params, StoreBacking,
+};
 use ea_models::{build_model, ModelKind, TrainConfig};
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
 
@@ -51,6 +56,64 @@ fn exhaustive_ivf_pipeline_reproduces_exact_repair_and_verification() {
     let exact_verdicts = verify_top_candidates(&exact, 2);
     let ivf_verdicts = verify_top_candidates(&ivf, 2);
     assert_eq!(exact_verdicts, ivf_verdicts);
+}
+
+#[test]
+fn every_exhaustive_engine_layer_reproduces_exact_repair_and_verification() {
+    let pair = load(DatasetName::ZhEn, DatasetScale::Small);
+    let trained = build_model(ModelKind::MTransE, TrainConfig::fast()).train(&pair);
+    let run = |candidate_search: CandidateSearch| {
+        let exea = ExEa::new(
+            &pair,
+            &trained,
+            ExeaConfig {
+                candidate_search,
+                ..ExeaConfig::default()
+            },
+        );
+        let outcome = exea.repair(&RepairConfig::default());
+        (
+            exea.predictions().to_vec(),
+            outcome.repaired.to_vec(),
+            outcome.stats,
+            verify_top_candidates(&exea, 2),
+        )
+    };
+    let exact = run(CandidateSearch::Exact);
+
+    for storage in [
+        IvfListStorage::Flat,
+        IvfListStorage::Sq8(Sq8Params::exhaustive()),
+    ] {
+        for backing in [
+            StoreBacking::InMemory,
+            StoreBacking::Mapped(MappedOptions::default()),
+        ] {
+            let ivf = IvfParams {
+                storage: storage.clone(),
+                backing,
+                ..IvfParams::exhaustive()
+            };
+            let layers = [
+                CandidateSearch::Ivf(ivf.clone()),
+                CandidateSearch::Sharded(ShardParams {
+                    nshards: 3,
+                    ivf: ivf.clone(),
+                    ..ShardParams::exhaustive()
+                }),
+                // A seal budget far below the corpus forces many segments.
+                CandidateSearch::Lsm(LsmParams { seal_rows: 64, ivf }),
+            ];
+            for search in layers {
+                let name = search.name();
+                let (predictions, repaired, stats, verdicts) = run(search);
+                assert!(predictions == exact.0, "{name}: predictions diverged");
+                assert!(repaired == exact.1, "{name}: repaired set diverged");
+                assert_eq!(stats, exact.2, "{name}: repair stats diverged");
+                assert!(verdicts == exact.3, "{name}: verification diverged");
+            }
+        }
+    }
 }
 
 #[test]
