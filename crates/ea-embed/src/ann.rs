@@ -42,7 +42,9 @@
 //! The [`CandidateSearch`] strategy enum (implementing the [`CandidateSource`]
 //! trait) is what consumers store in their configs to switch exact ↔ ANN.
 
-use crate::candidates::{blocked_topk, CandidateIndex, Side, DEFAULT_COL_TILE, DEFAULT_ROW_TILE};
+use crate::candidates::{
+    blocked_topk, clamped, CandidateIndex, Side, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
+};
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::lsm::{lsm_pass, LsmParams};
@@ -1344,6 +1346,7 @@ impl CandidateSearch {
                 cap,
                 DEFAULT_ROW_TILE,
                 DEFAULT_COL_TILE,
+                clamped,
             ),
             CandidateSearch::Ivf(params) => {
                 SegmentStore::build(&TableRows::new(&corpus.norm), params)

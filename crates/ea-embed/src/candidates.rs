@@ -51,33 +51,37 @@ pub(crate) const DEFAULT_ROW_TILE: usize = 128;
 pub(crate) const DEFAULT_COL_TILE: usize = 256;
 
 /// Scans one block of query rows against the whole corpus in column tiles,
-/// keeping the per-row top-`cap` candidates. Pure function of its inputs:
-/// block results are identical however blocks are scheduled. Output is the
-/// flattened best-first lists, exactly `cap.min(corpus.rows())` entries per
-/// block row.
+/// keeping the per-row top-`cap` candidates under the canonical
+/// `(score desc, column asc)` order. `score(row, col, dot)` turns the
+/// kernel's raw dot product of query `row` and corpus `col` into the ranked
+/// score. Pure function of its inputs: block results are identical however
+/// blocks are scheduled. Output is the flattened best-first lists, exactly
+/// `cap.min(corpus.rows())` entries per block row.
 fn process_block(
     queries: &EmbeddingTable,
     corpus: &EmbeddingTable,
     rows: Range<usize>,
     cap: usize,
     col_tile: usize,
+    score: &impl Fn(usize, usize, f32) -> f32,
 ) -> Vec<Ranked> {
     let n_c = corpus.rows();
     let dim = corpus.dim();
     let mut select: Vec<TopK> = rows.clone().map(|_| TopK::new(cap)).collect();
-    let mut scores = vec![0.0f32; col_tile.min(n_c)];
+    let mut dots = vec![0.0f32; col_tile.min(n_c)];
     let mut tile_start = 0;
     while tile_start < n_c {
         let tile_end = (tile_start + col_tile).min(n_c);
         let tile_len = tile_end - tile_start;
         // One contiguous panel per tile; the register-blocked kernel streams
-        // it once per block row. Entries are bit-identical to per-pair
-        // `cosine_prenormalized` calls (same kernel, same clamp).
+        // it once per block row. Each dot is bit-identical to the per-pair
+        // `kernel::dot` of the same rows.
         let panel = &corpus.data()[tile_start * dim..tile_end * dim];
         for (slot, i) in rows.clone().enumerate() {
-            kernel::scan_block(queries.row(i), panel, dim, &mut scores[..tile_len]);
-            for (off, &score) in scores[..tile_len].iter().enumerate() {
-                select[slot].push(score.clamp(-1.0, 1.0), (tile_start + off) as u32);
+            kernel::scan_block(queries.row(i), panel, dim, &mut dots[..tile_len]);
+            for (off, &dot) in dots[..tile_len].iter().enumerate() {
+                let col = tile_start + off;
+                select[slot].push(score(i, col, dot), col as u32);
             }
         }
         tile_start = tile_end;
@@ -91,7 +95,8 @@ fn process_block(
 
 /// Fans query-row blocks over the rayon pool and concatenates the block
 /// results in input order: the flattened top-`cap` lists of every query row
-/// against the corpus. Peak transient memory is the block outputs themselves
+/// against the corpus, ranked by `score(row, col, dot)` (see
+/// [`process_block`]). Peak transient memory is the block outputs themselves
 /// — O(queries · cap).
 pub(crate) fn blocked_topk(
     queries: &EmbeddingTable,
@@ -99,6 +104,7 @@ pub(crate) fn blocked_topk(
     cap: usize,
     row_tile: usize,
     col_tile: usize,
+    score: impl Fn(usize, usize, f32) -> f32 + Sync,
 ) -> Vec<Ranked> {
     let n_q = queries.rows();
     let block_starts: Vec<usize> = (0..n_q).step_by(row_tile).collect();
@@ -111,10 +117,18 @@ pub(crate) fn blocked_topk(
                 start..(start + row_tile).min(n_q),
                 cap,
                 col_tile,
+                &score,
             )
         })
         .collect();
     blocks.concat()
+}
+
+/// The score map of the pre-normalised engines: the dot of two unit (or
+/// all-zero) rows clamped to `[-1, 1]` — bit-identical to
+/// [`crate::vector::cosine_prenormalized`] of the same pair.
+pub(crate) fn clamped(_row: usize, _col: usize, dot: f32) -> f32 {
+    dot.clamp(-1.0, 1.0)
 }
 
 /// One side of a one-shot candidate search: the raw embedding table, the
@@ -240,7 +254,14 @@ impl CandidateIndex {
             k,
             reverse,
             |queries, corpus, cap| {
-                blocked_topk(&queries.norm, &corpus.norm, cap, row_tile, col_tile)
+                blocked_topk(
+                    &queries.norm,
+                    &corpus.norm,
+                    cap,
+                    row_tile,
+                    col_tile,
+                    clamped,
+                )
             },
         )
     }

@@ -10,7 +10,8 @@
 //!   initialisation, row normalisation and gradient update helpers.
 //! * [`optimizer`] — SGD and AdaGrad optimisers applied per-row (sparse
 //!   updates, which is how EA training touches parameters).
-//! * [`sampling`] — uniform and hard (similarity-ranked) negative sampling.
+//! * [`sampling`] — uniform negative sampling and the hard-negative cache
+//!   (nearest-neighbour lists built as one blocked self-join).
 //! * [`similarity`] — the dense similarity-matrix *reference* (O(n²) memory),
 //!   top-k nearest-neighbour search, greedy alignment inference and CSLS
 //!   re-scoring.

@@ -4,23 +4,39 @@
 //! triples / alignment pairs against corrupted ("negative") ones. The paper's
 //! models differ mainly in *how* they pick negatives:
 //!
-//! * MTransE / GCN-Align — uniform corruption.
+//! * MTransE / GCN-Align — uniform corruption ([`NegativeSampler`]).
 //! * AlignE / Dual-AMN — *hard* negatives: entities whose current embeddings
 //!   are close to the positive counterpart, which is what lets those models
-//!   distinguish similar entities (paper §V-B5, §V-C4).
+//!   distinguish similar entities (paper §V-B5, §V-C4). They draw from a
+//!   [`HardNegativeCache`] of nearest-neighbour lists that they rebuild every
+//!   few epochs.
+//!
+//! **Cache build = one blocked self-join.** [`HardNegativeCache::build`] scores
+//! the target table against itself with the same tile loop the exact
+//! [`crate::CandidateIndex`] engine runs: row norms are computed once, every
+//! row block streams [`crate::kernel::scan_block`] column panels into a bounded
+//! [`crate::topk::TopK`] per row, and fixed row blocks fan out over the rayon
+//! pool and are concatenated in input order. Its lists are bit-identical to a
+//! naive per-row scan (`crates/ea-embed/tests/prop_hard_negatives.rs` pins
+//! this, `tests/hard_negatives_threads.rs` under `RAYON_NUM_THREADS=8`), so
+//! the trained tables of both models do not depend on the build strategy or
+//! the worker count.
 
+use crate::candidates::{blocked_topk, DEFAULT_COL_TILE, DEFAULT_ROW_TILE};
 use crate::embedding::EmbeddingTable;
-use crate::{kernel, order, vector};
+use crate::vector;
 use rand::Rng;
 
 /// Anything that can propose negative entities for contrastive training.
 ///
-/// Implemented by [`NegativeSampler`] (stateless uniform / similarity-guided
-/// sampling) and [`HardNegativeCache`] (precomputed nearest-neighbour lists,
-/// the fast path used by AlignE and Dual-AMN).
+/// Implemented by [`NegativeSampler`] (stateless uniform sampling) and
+/// [`HardNegativeCache`] (precomputed nearest-neighbour lists, used by AlignE
+/// and Dual-AMN).
 pub trait Negatives {
-    /// Samples a negative entity index different from `exclude`, guided by the
-    /// embedding of `positive` where the strategy uses similarity.
+    /// Samples a negative entity index different from `exclude`, for the
+    /// positive entity `positive`. `embeddings` is the table the positive
+    /// lives in; the strategies in this module ignore it (the cache reads
+    /// the table it was built from).
     fn negative<R: Rng>(
         &self,
         rng: &mut R,
@@ -30,90 +46,31 @@ pub trait Negatives {
     ) -> Option<usize>;
 }
 
-/// Negative-sampling strategies over a fixed candidate entity universe.
+/// Uniform negative sampling over a fixed candidate entity universe
+/// `0..universe`.
 #[derive(Debug, Clone)]
-pub enum NegativeSampler {
-    /// Corrupt by sampling entities uniformly at random from `0..universe`.
-    Uniform {
-        /// Number of candidate entities.
-        universe: usize,
-    },
-    /// Corrupt by sampling from the `k` entities most similar to the true
-    /// counterpart under the current embeddings ("hard" negatives), falling
-    /// back to uniform sampling with probability `uniform_prob`.
-    Hard {
-        /// Number of candidate entities.
-        universe: usize,
-        /// Number of nearest neighbours to draw hard negatives from.
-        k: usize,
-        /// Probability of using a uniform sample instead of a hard one.
-        uniform_prob: f64,
-    },
+pub struct NegativeSampler {
+    universe: usize,
 }
 
 impl NegativeSampler {
     /// Creates a uniform sampler over `universe` entities.
     pub fn uniform(universe: usize) -> Self {
-        NegativeSampler::Uniform { universe }
-    }
-
-    /// Creates a hard-negative sampler over `universe` entities.
-    pub fn hard(universe: usize, k: usize, uniform_prob: f64) -> Self {
-        NegativeSampler::Hard {
-            universe,
-            k: k.max(1),
-            uniform_prob: uniform_prob.clamp(0.0, 1.0),
-        }
+        NegativeSampler { universe }
     }
 
     /// Number of candidate entities.
     pub fn universe(&self) -> usize {
-        match self {
-            NegativeSampler::Uniform { universe } => *universe,
-            NegativeSampler::Hard { universe, .. } => *universe,
-        }
+        self.universe
     }
 
-    /// Samples a negative entity index different from `exclude`.
-    ///
-    /// For [`NegativeSampler::Hard`], `embeddings` and `positive` guide the
-    /// choice: the negative is drawn from the `k` rows of `embeddings` most
-    /// similar to `embeddings[positive]`. For [`NegativeSampler::Uniform`]
-    /// they are ignored.
+    /// Samples an entity index in `0..universe` different from `exclude`,
+    /// uniformly at random.
     ///
     /// Returns `None` when the universe has fewer than two entities (no
     /// negative exists).
-    pub fn sample<R: Rng>(
-        &self,
-        rng: &mut R,
-        embeddings: &EmbeddingTable,
-        positive: usize,
-        exclude: usize,
-    ) -> Option<usize> {
-        let universe = self.universe();
-        if universe < 2 {
-            return None;
-        }
-        match self {
-            NegativeSampler::Uniform { .. } => Some(uniform_excluding(rng, universe, exclude)),
-            NegativeSampler::Hard {
-                k, uniform_prob, ..
-            } => {
-                if rng.gen_bool(*uniform_prob) {
-                    return Some(uniform_excluding(rng, universe, exclude));
-                }
-                let neighbors = nearest_rows(embeddings, positive, *k + 1, universe);
-                let candidates: Vec<usize> = neighbors
-                    .into_iter()
-                    .filter(|&i| i != exclude && i != positive)
-                    .collect();
-                if candidates.is_empty() {
-                    Some(uniform_excluding(rng, universe, exclude))
-                } else {
-                    Some(candidates[rng.gen_range(0..candidates.len())])
-                }
-            }
-        }
+    pub fn sample<R: Rng>(&self, rng: &mut R, exclude: usize) -> Option<usize> {
+        (self.universe >= 2).then(|| uniform_excluding(rng, self.universe, exclude))
     }
 }
 
@@ -121,11 +78,11 @@ impl Negatives for NegativeSampler {
     fn negative<R: Rng>(
         &self,
         rng: &mut R,
-        embeddings: &EmbeddingTable,
-        positive: usize,
+        _embeddings: &EmbeddingTable,
+        _positive: usize,
         exclude: usize,
     ) -> Option<usize> {
-        self.sample(rng, embeddings, positive, exclude)
+        self.sample(rng, exclude)
     }
 }
 
@@ -134,11 +91,22 @@ impl Negatives for NegativeSampler {
 /// Scanning the full entity table for nearest neighbours on every sample is
 /// prohibitively slow inside a training loop; the cache computes, once per
 /// refresh, the `k` most similar entities of every entity and then samples
-/// from those lists in O(1). Models rebuild the cache every few epochs so the
-/// negatives track the moving embeddings.
+/// from those lists in O(k) without allocating. Models rebuild the cache
+/// every few epochs so the negatives track the moving embeddings.
+///
+/// **Bit-identity contract.** Row `i`'s list is exactly what a naive per-row
+/// scan gives: score every row `j` of `0..universe` by
+/// `(dot(i, j) / (‖i‖·‖j‖)).clamp(-1, 1)` (0 when either norm is
+/// ≤ `f32::EPSILON`), sort by `(score desc, j asc)`, keep the first `k + 1`,
+/// drop `i` itself and take `k`. The build computes it as one blocked,
+/// parallel self-join (see the module docs); same dots, same formula, same
+/// strict total order, so the lists match the naive scan whatever the tile
+/// sizes or the worker count. Every row holds `min(k, universe - 1)` entries.
 #[derive(Debug, Clone)]
 pub struct HardNegativeCache {
-    candidates: Vec<Vec<u32>>,
+    /// Row-major lists, `row_len` entries per row of `0..universe`.
+    neighbors: Vec<u32>,
+    row_len: usize,
     uniform_prob: f64,
     universe: usize,
 }
@@ -148,18 +116,49 @@ impl HardNegativeCache {
     /// `0..universe`, the `k` most cosine-similar other rows.
     pub fn build(table: &EmbeddingTable, k: usize, universe: usize, uniform_prob: f64) -> Self {
         let universe = universe.min(table.rows());
-        let mut candidates = Vec::with_capacity(universe);
-        for i in 0..universe {
-            let neighbors: Vec<u32> = nearest_rows(table, i, k + 1, universe)
-                .into_iter()
-                .filter(|&j| j != i)
-                .map(|j| j as u32)
-                .take(k)
-                .collect();
-            candidates.push(neighbors);
+        let prefix;
+        let rows = if universe == table.rows() {
+            table
+        } else {
+            let data = table.data()[..universe * table.dim()].to_vec();
+            prefix = EmbeddingTable::from_data(universe, table.dim(), data);
+            &prefix
+        };
+        let norms: Vec<f32> = (0..universe).map(|i| vector::norm(rows.row(i))).collect();
+        // Top `k + 1` so that dropping the row itself still leaves `k`.
+        let cap = k.saturating_add(1).min(universe);
+        let ranked = blocked_topk(
+            rows,
+            rows,
+            cap,
+            DEFAULT_ROW_TILE,
+            DEFAULT_COL_TILE,
+            |i, j, dot| {
+                let (ni, nj) = (norms[i], norms[j]);
+                if ni <= f32::EPSILON || nj <= f32::EPSILON {
+                    0.0
+                } else {
+                    (dot / (ni * nj)).clamp(-1.0, 1.0)
+                }
+            },
+        );
+        let row_len = k.min(universe.saturating_sub(1));
+        let mut neighbors = Vec::with_capacity(universe * row_len);
+        if cap > 0 {
+            for (i, list) in ranked.chunks_exact(cap).enumerate() {
+                let before = neighbors.len();
+                neighbors.extend(
+                    list.iter()
+                        .map(|r| r.index)
+                        .filter(|&j| j as usize != i)
+                        .take(k),
+                );
+                debug_assert_eq!(neighbors.len() - before, row_len);
+            }
         }
         Self {
-            candidates,
+            neighbors,
+            row_len,
             uniform_prob: uniform_prob.clamp(0.0, 1.0),
             universe,
         }
@@ -168,6 +167,15 @@ impl HardNegativeCache {
     /// Number of entities covered by the cache.
     pub fn universe(&self) -> usize {
         self.universe
+    }
+
+    /// The hard-negative list of `row` (most similar first); empty for rows
+    /// outside the universe.
+    pub fn neighbors(&self, row: usize) -> &[u32] {
+        if row >= self.universe {
+            return &[];
+        }
+        &self.neighbors[row * self.row_len..(row + 1) * self.row_len]
     }
 }
 
@@ -182,14 +190,17 @@ impl Negatives for HardNegativeCache {
         if self.universe < 2 {
             return None;
         }
-        if positive < self.candidates.len() && !rng.gen_bool(self.uniform_prob) {
-            let list: Vec<usize> = self.candidates[positive]
+        if positive < self.universe && !rng.gen_bool(self.uniform_prob) {
+            // One `gen_range` over the entries other than `exclude`, then
+            // pick that entry by position: no per-draw allocation.
+            let mut others = self
+                .neighbors(positive)
                 .iter()
                 .map(|&j| j as usize)
-                .filter(|&j| j != exclude)
-                .collect();
-            if !list.is_empty() {
-                return Some(list[rng.gen_range(0..list.len())]);
+                .filter(|&j| j != exclude);
+            let count = others.clone().count();
+            if count > 0 {
+                return others.nth(rng.gen_range(0..count));
             }
         }
         Some(uniform_excluding(rng, self.universe, exclude))
@@ -203,40 +214,6 @@ fn uniform_excluding<R: Rng>(rng: &mut R, universe: usize, exclude: usize) -> us
             return candidate;
         }
     }
-}
-
-/// Indexes of the `k` rows of `table` (restricted to `0..universe`) most
-/// similar to row `query` by cosine similarity, in decreasing similarity
-/// order. The query row itself may be included.
-///
-/// The dot products come from one register-blocked [`kernel::scan_block`]
-/// sweep over the contiguous row prefix; each similarity equals
-/// [`vector::cosine`] of the same pair exactly (same per-pair dot, same norm
-/// derivation, same zero-norm contract).
-pub fn nearest_rows(table: &EmbeddingTable, query: usize, k: usize, universe: usize) -> Vec<usize> {
-    let universe = universe.min(table.rows());
-    let dim = table.dim();
-    let q = table.row(query);
-    let nq = vector::norm(q);
-    let mut dots = vec![0.0f32; universe];
-    kernel::scan_block(q, &table.data()[..universe * dim], dim, &mut dots);
-    let mut scored: Vec<(usize, f32)> = dots
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let nr = vector::norm(table.row(i));
-            let cos = if nq <= f32::EPSILON || nr <= f32::EPSILON {
-                0.0
-            } else {
-                (d / (nq * nr)).clamp(-1.0, 1.0)
-            };
-            (i, cos)
-        })
-        .collect();
-    // NaN-safe strict total order (score desc, row asc): NaN similarities
-    // rank last instead of scrambling the neighbour list.
-    scored.sort_unstable_by(|a, b| order::desc_f32(a.1, b.1).then(a.0.cmp(&b.0)));
-    scored.into_iter().take(k).map(|(i, _)| i).collect()
 }
 
 #[cfg(test)]
@@ -260,10 +237,9 @@ mod tests {
     #[test]
     fn uniform_sampler_never_returns_excluded() {
         let sampler = NegativeSampler::uniform(10);
-        let table = EmbeddingTable::zeros(10, 2);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..200 {
-            let s = sampler.sample(&mut rng, &table, 0, 3).unwrap();
+            let s = sampler.sample(&mut rng, 3).unwrap();
             assert_ne!(s, 3);
             assert!(s < 10);
         }
@@ -272,59 +248,13 @@ mod tests {
     #[test]
     fn uniform_sampler_on_tiny_universe() {
         let sampler = NegativeSampler::uniform(1);
-        let table = EmbeddingTable::zeros(1, 2);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(sampler.sample(&mut rng, &table, 0, 0), None);
-    }
-
-    #[test]
-    fn hard_sampler_prefers_similar_rows() {
-        let table = clustered_table();
-        let sampler = NegativeSampler::hard(6, 2, 0.0);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut counts = vec![0usize; 6];
-        for _ in 0..300 {
-            let s = sampler.sample(&mut rng, &table, 0, 0).unwrap();
-            counts[s] += 1;
-        }
-        // Hard negatives for row 0 should come from the +x cluster (rows 1,2).
-        let x_cluster: usize = counts[1] + counts[2];
-        let y_cluster: usize = counts[3] + counts[4] + counts[5];
-        assert!(
-            x_cluster > y_cluster,
-            "hard sampler ignored similarity: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn hard_sampler_with_full_uniform_prob_behaves_uniformly() {
-        let table = clustered_table();
-        let sampler = NegativeSampler::hard(6, 2, 1.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..300 {
-            seen.insert(sampler.sample(&mut rng, &table, 0, 0).unwrap());
-        }
-        // All non-excluded rows should eventually be drawn.
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
-    fn nearest_rows_orders_by_similarity() {
-        let table = clustered_table();
-        let nn = nearest_rows(&table, 0, 3, 6);
-        assert_eq!(nn.len(), 3);
-        assert_eq!(nn[0], 0); // most similar to itself
-        assert!(nn.contains(&1) || nn.contains(&2));
-        // Restricting the universe excludes later rows entirely.
-        let nn_small = nearest_rows(&table, 0, 6, 3);
-        assert!(nn_small.iter().all(|&i| i < 3));
+        assert_eq!(sampler.sample(&mut rng, 0), None);
     }
 
     #[test]
     fn sampler_universe_accessor() {
         assert_eq!(NegativeSampler::uniform(5).universe(), 5);
-        assert_eq!(NegativeSampler::hard(9, 3, 0.2).universe(), 9);
     }
 
     #[test]
