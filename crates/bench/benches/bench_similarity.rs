@@ -8,8 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ea_embed::{
-    kernel, CandidateIndex, CandidateSearch, CandidateSource, EmbeddingTable, IvfIndex, IvfParams,
-    QuantizedTable, SimilarityMatrix, Sq8Params,
+    kernel, CandidateIndex, CandidateSearch, EmbeddingTable, IvfIndex, IvfParams, QuantizedTable,
+    SimilarityMatrix, Sq8Params,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;

@@ -902,10 +902,7 @@ fn sq8(config: &BenchConfig) {
     ]);
 
     for rerank_factor in [2usize, 4, 8, usize::MAX] {
-        let params = Sq8Params {
-            rerank_factor,
-            ..Sq8Params::default()
-        };
+        let params = Sq8Params { rerank_factor };
         let (rows, query_time) =
             ea_metrics::time_it(|| quantized.search(&source_norm, &target_norm, k, &params));
 
@@ -1226,8 +1223,7 @@ fn ondisk(config: &BenchConfig) {
 /// shard sets.
 fn shard(config: &BenchConfig) {
     use ea_embed::{
-        CandidateSearch, IvfParams, MappedOptions, ShardParams, ShardPartition, ShardedIndex,
-        StoreBacking,
+        CandidateSearch, MappedOptions, ShardParams, ShardPartition, ShardedIndex, StoreBacking,
     };
 
     let pair = load(DatasetName::ZhEn, config.scale);
@@ -1370,10 +1366,7 @@ fn shard(config: &BenchConfig) {
     // Memory truthfulness: the same shard set resident vs spilled to
     // per-shard containers, reported through the aggregated counters.
     let mapped_params = ShardParams {
-        ivf: IvfParams {
-            backing: StoreBacking::Mapped(MappedOptions::default()),
-            ..base.ivf.clone()
-        },
+        backing: StoreBacking::Mapped(MappedOptions::default()),
         ..base.clone()
     };
     let (mapped, mapped_build) =
@@ -1792,9 +1785,9 @@ fn lsm(config: &BenchConfig) {
             seal_rows: (n_t / 8).max(1),
             ivf: IvfParams {
                 storage: IvfListStorage::Sq8(Sq8Params::default()),
-                backing: StoreBacking::Mapped(MappedOptions::default()),
                 ..LsmParams::default().ivf
             },
+            backing: StoreBacking::Mapped(MappedOptions::default()),
         },
     );
     let (_, spill_time) = time_it(|| {
@@ -1826,9 +1819,9 @@ fn lsm(config: &BenchConfig) {
             CandidateSearch::Lsm(LsmParams {
                 ivf: IvfParams {
                     storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    backing: StoreBacking::Mapped(MappedOptions::default()),
                     ..LsmParams::default().ivf
                 },
+                backing: StoreBacking::Mapped(MappedOptions::default()),
                 ..LsmParams::default()
             }),
         ),

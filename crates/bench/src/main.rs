@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! exea-bench <experiment> [--scale small|bench] [--samples N]
+//! exea-bench <experiment> [--scale small|bench|paper] [--samples N]
 //!
 //! experiments:
 //!   table1   explanation generation, first-order candidates (fidelity/sparsity)
@@ -29,6 +29,8 @@
 //!
 //! `--scale small` (default) finishes in minutes on a laptop; `--scale bench`
 //! uses larger synthetic datasets and is what `EXPERIMENTS.md` reports.
+//! An unknown flag or scale, a flag without its value and a `--samples`
+//! that is not a positive integer all exit 2 with a one-line message.
 #![forbid(unsafe_code)]
 
 mod experiments;
@@ -45,34 +47,38 @@ fn main() {
     // or EXEA_MAPPED_BACKEND is a clean one-line failure before any dataset
     // loads, not a panic deep inside the first experiment.
     if let Err(e) = ea_embed::CandidateSearch::from_env() {
-        eprintln!("exea-bench: {e}");
-        std::process::exit(2);
+        fail(&e.to_string());
     }
     if let Err(e) = ea_embed::mapped_backend_from_env() {
-        eprintln!("exea-bench: {e}");
-        std::process::exit(2);
+        fail(&e.to_string());
     }
     let mut config = BenchConfig::default();
     let mut experiment = args[0].clone();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                config.scale = match args[i + 1].as_str() {
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        let mut value = || {
+            flags
+                .next()
+                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--scale" => {
+                let v = value();
+                config.scale = match v.as_str() {
+                    "small" => ea_data::DatasetScale::Small,
                     "bench" => ea_data::DatasetScale::Bench,
                     "paper" => ea_data::DatasetScale::Paper,
-                    _ => ea_data::DatasetScale::Small,
+                    _ => fail(&format!("unknown scale {v:?} (expected small|bench|paper)")),
                 };
-                i += 2;
             }
-            "--samples" if i + 1 < args.len() => {
-                config.fidelity_samples = args[i + 1].parse().unwrap_or(config.fidelity_samples);
-                i += 2;
+            "--samples" => {
+                let v = value();
+                config.fidelity_samples = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => fail(&format!("--samples needs a positive integer, got {v:?}")),
+                };
             }
-            other => {
-                eprintln!("ignoring unknown argument {other:?}");
-                i += 1;
-            }
+            other => fail(&format!("unknown flag {other:?}")),
         }
     }
     if experiment == "all" {
@@ -90,6 +96,12 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// Rejects the command line with a one-line message and exit status 2.
+fn fail(message: &str) -> ! {
+    eprintln!("exea-bench: {message}");
+    std::process::exit(2);
 }
 
 fn run(experiment: Experiment, config: &BenchConfig) {

@@ -1,0 +1,51 @@
+//! Command-line rejection of `exea-bench`: every malformed invocation exits
+//! with status 2 and a one-line message before any dataset is loaded.
+
+use std::process::Command;
+
+fn reject(args: &[&str], expect: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_exea-bench"))
+        .args(args)
+        .env_remove("EXEA_CANDIDATE_SEARCH")
+        .env_remove("EXEA_MAPPED_BACKEND")
+        .output()
+        .expect("run exea-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+    assert!(
+        stderr.starts_with("exea-bench: ") && stderr.contains(expect),
+        "{args:?}: stderr {stderr:?}"
+    );
+}
+
+#[test]
+fn misspelled_scale_is_rejected() {
+    reject(&["fig4", "--scale", "benhc"], "unknown scale \"benhc\"");
+}
+
+#[test]
+fn non_positive_or_non_numeric_samples_are_rejected() {
+    for bad in ["x", "0", "-3", "2.5", ""] {
+        reject(
+            &["fig4", "--samples", bad],
+            "--samples needs a positive integer",
+        );
+    }
+}
+
+#[test]
+fn flags_without_values_are_rejected() {
+    reject(&["fig4", "--scale"], "--scale needs a value");
+    reject(&["fig4", "--samples"], "--samples needs a value");
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    reject(&["fig4", "--bogus"], "unknown flag \"--bogus\"");
+    reject(
+        &["fig4", "--scale", "small", "extra"],
+        "unknown flag \"extra\"",
+    );
+}

@@ -78,7 +78,6 @@ fn sharded_reaches_095_recall_at_10_on_zh_en_and_is_exact_at_full_routing() {
     // Reverse lists go through the bidirectional build (the shape repair
     // cr2/cr3 and Dual-AMN mining use): full routing must keep every
     // best-source decision and its score bits.
-    use ea_embed::CandidateSource;
     let sources = pair.test_source_entities();
     let targets: Vec<EntityId> = pair.target.entity_ids().collect();
     let src_table = trained.entities(ea_graph::KgSide::Source);

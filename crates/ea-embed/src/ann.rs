@@ -39,8 +39,8 @@
 //! bit-identical to the exact blocked scan (recall 1.0) — the property suite
 //! (`tests/prop_ann.rs`) pins both contracts.
 //!
-//! The [`CandidateSearch`] strategy enum (implementing the [`CandidateSource`]
-//! trait) is what consumers store in their configs to switch exact ↔ ANN.
+//! The [`CandidateSearch`] strategy enum is what consumers store in their
+//! configs to switch exact ↔ ANN.
 
 use crate::candidates::{
     blocked_topk, clamped, CandidateIndex, Side, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
@@ -49,13 +49,11 @@ use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::lsm::{lsm_pass, LsmParams};
 use crate::quantized::{
-    sq8_pass, sq8_select_and_rerank, QuantizedTable, Sq8GridFit, Sq8Params, Sq8Scratch,
+    sq8_select_and_rerank, sq8_topk_flat, QuantizedTable, Sq8GridFit, Sq8Params, Sq8Scratch,
 };
-use crate::segment::SegmentStore;
 use crate::shard::{ShardParams, ShardedIndex};
 use crate::storage::{
-    self, InMemory, ListStore, MappedOptions, RowSource, StorageError, StoreBacking,
-    StreamingStats, TableRows,
+    self, InMemory, ListStore, MappedOptions, RowSource, StorageError, StoreBacking, TableRows,
 };
 use crate::topk::{Ranked, TopK};
 use crate::vector;
@@ -126,19 +124,6 @@ pub struct IvfParams {
     /// Inverted-list storage: exact f32 rows ([`IvfListStorage::Flat`]) or
     /// SQ8 codes with exact re-ranking ([`IvfListStorage::Sq8`], IVF-SQ).
     pub storage: IvfListStorage,
-    /// Where the row panels (and SQ8 codes, under [`IvfListStorage::Sq8`])
-    /// live during a one-shot [`CandidateSearch::Ivf`] search: resident, or
-    /// spilled to an on-disk container and gathered back through the mapped
-    /// store. Results are bit-identical either way.
-    ///
-    /// Note the one-shot path still *builds* the normalised table and
-    /// quantizer in RAM before spilling — the mapped backing bounds the
-    /// search-phase gathers and exercises the out-of-core deployment path
-    /// end to end, it does not lower peak build memory. For corpora that
-    /// never fit in RAM, build and [`IvfIndex::save`] once, then serve
-    /// queries from [`crate::MappedIndex::open`] (only centroids, CSR
-    /// offsets and the SQ8 grid stay resident there).
-    pub backing: StoreBacking,
 }
 
 impl Default for IvfParams {
@@ -150,7 +135,6 @@ impl Default for IvfParams {
             seeding: IvfSeeding::Shuffle,
             kmeans_iters: 8,
             storage: IvfListStorage::Flat,
-            backing: StoreBacking::InMemory,
         }
     }
 }
@@ -281,59 +265,6 @@ impl IvfIndex {
         }
     }
 
-    /// [`IvfIndex::build`] pulling rows from a [`RowSource`] in bounded
-    /// chunks (`chunk_rows` rows per chunk; 0 = [`storage::DEFAULT_CHUNK_ROWS`])
-    /// instead of a materialised table: peak staging during training is
-    /// `O(chunk · dim)` (reported in the returned [`StreamingStats`]) however
-    /// many rows the source serves.
-    ///
-    /// The resulting quantizer is bit-identical to [`IvfIndex::build`] on the
-    /// materialised rows for any chunk size. `params.storage` and
-    /// `params.backing` are ignored here — the index carries no code panel
-    /// (that would be `O(rows · dim)` resident state again); to run IVF-SQ
-    /// out of core, stream the container to disk with
-    /// [`storage::save_ivf_streaming`] and search it via
-    /// [`crate::MappedIndex::open`].
-    pub fn build_streaming<S: RowSource + ?Sized>(
-        source: &S,
-        params: &IvfParams,
-        chunk_rows: usize,
-    ) -> (Self, StreamingStats) {
-        let n = source.rows();
-        let nlist = params.resolved_nlist(n);
-        if n == 0 || nlist == 0 {
-            let index = Self {
-                centroids: EmbeddingTable::zeros(0, source.dim()),
-                list_offsets: vec![0],
-                list_rows: Vec::new(),
-                quantized: None,
-            };
-            let stats = StreamingStats {
-                rows: n,
-                passes: 0,
-                peak_staging_bytes: 0,
-            };
-            return (index, stats);
-        }
-        let chunk_rows = storage::resolve_chunk_rows(chunk_rows, n);
-        let train = train_streaming(source, params, chunk_rows, None);
-        let (list_offsets, list_rows) = csr_from_assignments(&train.assignments, nlist);
-        let stats = StreamingStats {
-            rows: n,
-            passes: train.passes,
-            peak_staging_bytes: train.peak_staging_bytes,
-        };
-        (
-            Self {
-                centroids: train.centroids,
-                list_offsets,
-                list_rows,
-                quantized: None,
-            },
-            stats,
-        )
-    }
-
     /// Assembles an index from deserialised parts — the loading path of the
     /// on-disk container ([`crate::MappedIndex::open`]) — validating every
     /// CSR invariant against the corpus size instead of trusting the input:
@@ -430,11 +361,6 @@ impl IvfIndex {
     /// by IVF-centroid proximity.
     pub(crate) fn centroid_panel(&self) -> &EmbeddingTable {
         &self.centroids
-    }
-
-    /// Number of corpus rows filed in list `c`.
-    pub fn list_len(&self, c: usize) -> usize {
-        (self.list_offsets[c + 1] - self.list_offsets[c]) as usize
     }
 
     /// The corpus rows of list `c`, ascending.
@@ -1037,38 +963,6 @@ pub(crate) fn csr_from_assignments(assignments: &[u32], nlist: usize) -> (Vec<u3
     (list_offsets, list_rows)
 }
 
-/// Candidate-generation strategy: how top-k candidate lists are produced.
-///
-/// Implemented by [`CandidateSearch`]; consumers that want to accept custom
-/// strategies can take `&dyn CandidateSource`.
-pub trait CandidateSource {
-    /// Short human-readable strategy label for logs and bench tables.
-    fn name(&self) -> &'static str;
-
-    /// Builds the forward top-`k` candidate lists between the embeddings of
-    /// `source_ids` and `target_ids` (the [`CandidateIndex::compute`]
-    /// contract; ANN strategies may miss candidates but never re-score them).
-    fn forward_index(
-        &self,
-        source_table: &EmbeddingTable,
-        source_ids: &[EntityId],
-        target_table: &EmbeddingTable,
-        target_ids: &[EntityId],
-        k: usize,
-    ) -> CandidateIndex;
-
-    /// [`CandidateSource::forward_index`] plus per-target reverse top-`k`
-    /// lists (the [`CandidateIndex::compute_bidirectional`] contract).
-    fn bidirectional_index(
-        &self,
-        source_table: &EmbeddingTable,
-        source_ids: &[EntityId],
-        target_table: &EmbeddingTable,
-        target_ids: &[EntityId],
-        k: usize,
-    ) -> CandidateIndex;
-}
-
 /// The built-in candidate-generation strategies, as a config-friendly value
 /// type: store it in a config struct and every consumer downstream of that
 /// config (prediction, repair, anchor mining, verification) switches with it.
@@ -1110,21 +1004,21 @@ pub trait CandidateSource {
 /// # let _ = (bandwidth_bound, largest);
 /// ```
 ///
-/// To run the *search phase* out of core, keep the same engine but spill
-/// its panels to an on-disk container ([`StoreBacking::Mapped`]): gathers
-/// go through the mapped store and results remain bit-identical. (The
-/// one-shot build still materialises the table in RAM first; for corpora
-/// that never fit, build + [`IvfIndex::save`] once and serve queries from
+/// Only the two engines that own segments choose where their row panels
+/// live: `Sharded` and `Lsm` can keep each segment in an on-disk container
+/// ([`StoreBacking::Mapped`]), searched through the mapped store with
+/// bit-identical results. For corpora that never fit in RAM, build +
+/// [`IvfIndex::save`] once and serve queries from
 /// [`crate::MappedIndex::open`], where only centroids, CSR offsets and the
-/// SQ8 grid stay resident.)
+/// SQ8 grid stay resident.
 ///
 /// ```
-/// use ea_embed::{CandidateSearch, IvfParams, MappedOptions, StoreBacking};
-/// let out_of_core = CandidateSearch::Ivf(IvfParams {
+/// use ea_embed::{CandidateSearch, LsmParams, MappedOptions, StoreBacking};
+/// let out_of_core = CandidateSearch::Lsm(LsmParams {
 ///     backing: StoreBacking::Mapped(MappedOptions::default()),
-///     ..IvfParams::default()
+///     ..LsmParams::default()
 /// });
-/// assert_eq!(ea_embed::CandidateSource::name(&out_of_core), "ivf-mapped");
+/// assert_eq!(out_of_core.name(), "lsm-ivf-mapped");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CandidateSearch {
@@ -1143,7 +1037,8 @@ pub enum CandidateSearch {
     Sq8(Sq8Params),
     /// The sharded scatter-gather engine ([`crate::ShardedIndex`]): the
     /// corpus splits into independently built per-shard IVF engines
-    /// (resident or per-shard on-disk containers), a router ranks shards by
+    /// (resident, or per-shard on-disk containers per
+    /// [`ShardParams::backing`]), a router ranks shards by
     /// centroid proximity, and per-shard partial top-k lists are
     /// deterministically merged — bit-identical to a single-shard build
     /// when every shard is routed, subset-only below that.
@@ -1185,17 +1080,14 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
-/// Every non-empty `EXEA_CANDIDATE_SEARCH` value: the grammar
-/// `exact`, `sq8[-mapped]` and `[sharded-|lsm-]{ivf|ivf-sq8}[-mapped]`
-/// spelled out, because [`CandidateSource::name`] hands out `&'static str`.
-const OVERRIDE_VALUES: [&str; 15] = [
+/// Every non-empty `EXEA_CANDIDATE_SEARCH` value: the grammar `exact`,
+/// `sq8`, `{ivf|ivf-sq8}` and `{sharded-|lsm-}{ivf|ivf-sq8}[-mapped]`
+/// spelled out, because [`CandidateSearch::name`] hands out `&'static str`.
+const OVERRIDE_VALUES: [&str; 12] = [
     "exact",
     "sq8",
-    "sq8-mapped",
     "ivf",
     "ivf-sq8",
-    "ivf-mapped",
-    "ivf-sq8-mapped",
     "sharded-ivf",
     "sharded-ivf-sq8",
     "sharded-ivf-mapped",
@@ -1207,8 +1099,8 @@ const OVERRIDE_VALUES: [&str; 15] = [
 ];
 
 /// Accepted `EXEA_CANDIDATE_SEARCH` values, for error messages.
-const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}[-mapped], exact or \
-     sq8[-mapped]: exact, sq8, sq8-mapped, ivf, ivf-sq8, ivf-mapped, ivf-sq8-mapped, \
+const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}, with -mapped only \
+     after a layer prefix, exact or sq8: exact, sq8, ivf, ivf-sq8, \
      sharded-ivf, sharded-ivf-sq8, sharded-ivf-mapped, sharded-ivf-sq8-mapped, \
      lsm-ivf, lsm-ivf-sq8, lsm-ivf-mapped, lsm-ivf-sq8-mapped";
 
@@ -1217,12 +1109,12 @@ impl CandidateSearch {
     /// environment override — the hook CI uses to run the whole pipeline
     /// (prediction, repair, verification, anchor mining) on an approximate
     /// engine end to end. Recognised values compose as
-    /// `[sharded-|lsm-]{ivf|ivf-sq8}[-mapped]`, plus `exact` and
-    /// `sq8[-mapped]`, each with default parameters: `ivf-sq8` is IVF with
-    /// SQ8 list storage; `-mapped` spills the engine's panels to an on-disk
-    /// container searched through the mapped store; `sharded-` runs the
-    /// IVF engine per shard (default [`ShardParams`]: auto shard count,
-    /// every shard routed) and `lsm-` per sealed segment (default
+    /// `[sharded-|lsm-]{ivf|ivf-sq8}`, plus `exact` and `sq8`, each with
+    /// default parameters: `ivf-sq8` is IVF with SQ8 list storage;
+    /// `-mapped`, allowed only after a layer prefix, keeps every segment in
+    /// an on-disk container searched through the mapped store; `sharded-`
+    /// runs the IVF engine per shard (default [`ShardParams`]: auto shard
+    /// count, every shard routed) and `lsm-` per sealed segment (default
     /// [`LsmParams`]: 512-row seal budget, exhaustive per-segment probing).
     /// Unset or empty means [`CandidateSearch::Exact`].
     ///
@@ -1281,30 +1173,23 @@ impl CandidateSearch {
             .into_iter()
             .find_map(|layer| Some((layer, rest.strip_prefix(layer)?)))
             .unwrap_or(("", rest));
+        if layer.is_empty() && backing != StoreBacking::InMemory {
+            return None;
+        }
         let storage = match engine {
             "ivf" => IvfListStorage::Flat,
             "ivf-sq8" => IvfListStorage::Sq8(Sq8Params::default()),
-            "exact" if layer.is_empty() && backing == StoreBacking::InMemory => {
-                return Some(CandidateSearch::Exact)
-            }
-            "sq8" if layer.is_empty() => {
-                return Some(CandidateSearch::Sq8(Sq8Params {
-                    backing,
-                    ..Sq8Params::default()
-                }))
-            }
+            "exact" if layer.is_empty() => return Some(CandidateSearch::Exact),
+            "sq8" if layer.is_empty() => return Some(CandidateSearch::Sq8(Sq8Params::default())),
             _ => return None,
         };
-        let with = |base: IvfParams| IvfParams {
-            storage,
-            backing,
-            ..base
-        };
+        let with = |base: IvfParams| IvfParams { storage, ..base };
         Some(match layer {
             "sharded-" => {
                 let base = ShardParams::default();
                 CandidateSearch::Sharded(ShardParams {
                     ivf: with(base.ivf),
+                    backing,
                     ..base
                 })
             }
@@ -1312,6 +1197,7 @@ impl CandidateSearch {
                 let base = LsmParams::default();
                 CandidateSearch::Lsm(LsmParams {
                     ivf: with(base.ivf),
+                    backing,
                     ..base
                 })
             }
@@ -1322,18 +1208,18 @@ impl CandidateSearch {
     /// This strategy's `(layer prefix, engine, backing)` in the override
     /// grammar.
     fn grammar_parts(&self) -> (&'static str, &'static str, &StoreBacking) {
-        let (layer, ivf) = match self {
+        let (layer, ivf, backing) = match self {
             CandidateSearch::Exact => return ("", "exact", &StoreBacking::InMemory),
-            CandidateSearch::Sq8(params) => return ("", "sq8", &params.backing),
-            CandidateSearch::Ivf(params) => ("", params),
-            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf),
-            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf),
+            CandidateSearch::Sq8(_) => return ("", "sq8", &StoreBacking::InMemory),
+            CandidateSearch::Ivf(params) => ("", params, &StoreBacking::InMemory),
+            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf, &params.backing),
+            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf, &params.backing),
         };
         let engine = match ivf.storage {
             IvfListStorage::Flat => "ivf",
             IvfListStorage::Sq8(_) => "ivf-sq8",
         };
-        (layer, engine, &ivf.backing)
+        (layer, engine, backing)
     }
 
     /// One directed pass of this strategy's one-shot build: the top-`cap`
@@ -1349,11 +1235,16 @@ impl CandidateSearch {
                 clamped,
             ),
             CandidateSearch::Ivf(params) => {
-                SegmentStore::build(&TableRows::new(&corpus.norm), params)
-                    .unwrap_or_else(|e| panic!("candidate-list spill failed: {e}"))
-                    .search_flat(&queries.norm, cap, params)
+                let index = IvfIndex::build(&corpus.norm, params);
+                let nprobe = params.resolved_nprobe(index.nlist());
+                index.search_flat(&queries.norm, &corpus.norm, cap, nprobe)
             }
-            CandidateSearch::Sq8(params) => sq8_pass(&queries.norm, &corpus.norm, cap, params),
+            CandidateSearch::Sq8(params) => {
+                let quantized = QuantizedTable::build(&corpus.norm);
+                let store = InMemory::with_codes(&corpus.norm, &quantized);
+                let rerank = params.resolved_rerank(cap, corpus.norm.rows());
+                sq8_topk_flat(&queries.norm, &store, cap, rerank)
+            }
             CandidateSearch::Sharded(params) => {
                 let index = ShardedIndex::build(&corpus.norm, params);
                 index.search_flat(&queries.norm, cap, params.resolved_route(index.nshards()))
@@ -1361,10 +1252,10 @@ impl CandidateSearch {
             CandidateSearch::Lsm(params) => lsm_pass(queries, corpus, cap, params),
         }
     }
-}
 
-impl CandidateSource for CandidateSearch {
-    fn name(&self) -> &'static str {
+    /// Short human-readable strategy label for logs and bench tables: the
+    /// strategy's `EXEA_CANDIDATE_SEARCH` spelling.
+    pub fn name(&self) -> &'static str {
         let (layer, engine, backing) = self.grammar_parts();
         let suffix = match backing {
             StoreBacking::InMemory => "",
@@ -1381,7 +1272,10 @@ impl CandidateSource for CandidateSearch {
             .expect("every strategy spells a grammar value")
     }
 
-    fn forward_index(
+    /// Builds the forward top-`k` candidate lists between the embeddings of
+    /// `source_ids` and `target_ids` (the [`CandidateIndex::compute`]
+    /// contract; ANN strategies may miss candidates but never re-score them).
+    pub fn forward_index(
         &self,
         source_table: &EmbeddingTable,
         source_ids: &[EntityId],
@@ -1400,7 +1294,9 @@ impl CandidateSource for CandidateSearch {
         )
     }
 
-    fn bidirectional_index(
+    /// [`CandidateSearch::forward_index`] plus per-target reverse top-`k`
+    /// lists (the [`CandidateIndex::compute_bidirectional`] contract).
+    pub fn bidirectional_index(
         &self,
         source_table: &EmbeddingTable,
         source_ids: &[EntityId],
@@ -1445,9 +1341,6 @@ mod tests {
             "ivf",
             "sq8",
             "ivf-sq8",
-            "ivf-mapped",
-            "sq8-mapped",
-            "ivf-sq8-mapped",
             "sharded-ivf",
             "sharded-ivf-sq8",
             "sharded-ivf-mapped",
@@ -1519,10 +1412,7 @@ mod tests {
             // Defaults keep the override validation-safe: auto shard count,
             // every shard routed — bit-identical to the unsharded engine.
             assert_eq!((params.nshards, params.route_shards), (0, 0));
-            assert_eq!(
-                matches!(params.ivf.backing, StoreBacking::Mapped(_)),
-                mapped
-            );
+            assert_eq!(matches!(params.backing, StoreBacking::Mapped(_)), mapped);
             assert_eq!(matches!(params.ivf.storage, IvfListStorage::Sq8(_)), sq8);
         }
         for typo in ["sharded", "sharded-sq8", "sharded-exact", "ivf-sharded"] {
@@ -1549,7 +1439,7 @@ mod tests {
             assert_eq!(params.ivf.nprobe, usize::MAX, "{value}");
             assert_eq!(params.seal_rows, LsmParams::default().seal_rows);
             assert_eq!(
-                matches!(params.ivf.backing, StoreBacking::Mapped(_)),
+                matches!(params.backing, StoreBacking::Mapped(_)),
                 mapped,
                 "{value}"
             );
@@ -1578,8 +1468,20 @@ mod tests {
             assert!(message.contains(value), "{value} missing from: {message}");
         }
         // Off-grammar combinations of otherwise valid parts must not
-        // silently fall back to Exact either.
+        // silently fall back to Exact either. `-mapped` needs a layer
+        // prefix: only the sharded and LSM engines own segments to map.
+        for typo in ["ivf-mapped", "ivf-sq8-mapped", "sq8-mapped"] {
+            let err = CandidateSearch::from_env_value(Some(typo)).unwrap_err();
+            assert_eq!(
+                (err.var, err.value.as_str()),
+                ("EXEA_CANDIDATE_SEARCH", typo)
+            );
+        }
+        assert_eq!(OVERRIDE_VALUES.len(), 12);
         for typo in [
+            "ivf-mapped",
+            "ivf-sq8-mapped",
+            "sq8-mapped",
             "exact-mapped",
             "lsm-sharded-ivf",
             "sq8-sq8",

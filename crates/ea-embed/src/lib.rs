@@ -32,7 +32,7 @@
 //!   the target rows into inverted lists, queries probe the nearest lists and
 //!   the exact top-k kernel runs only over the gathered candidates
 //!   (optionally through SQ8 codes: [`IvfListStorage::Sq8`], IVF-SQ). The
-//!   [`CandidateSearch`] strategy enum ([`CandidateSource`] trait) lets every
+//!   [`CandidateSearch`] strategy enum, the one strategy type, lets every
 //!   consumer switch exact ↔ ANN via config.
 //! * [`quantized`] — the SQ8 path: per-dimension affine int8 compression of
 //!   the normalised corpus ([`QuantizedTable`]), an ADC code scan that reads
@@ -47,8 +47,10 @@
 //! * `segment` (crate-private) — the one segment layer the next two modules
 //!   share: a segment is an immutable IVF engine over a fixed row set,
 //!   resident or an on-disk container (whose IVF state is checked once, at
-//!   open), and one gather folds per-segment partial lists through
-//!   [`topk::TopK::merge`] in fixed query tiles.
+//!   open) as the owning engine's [`StoreBacking`] says — only the sharded
+//!   and LSM engines choose where row panels live — and one gather folds
+//!   per-segment partial lists through [`topk::TopK::merge`] in fixed query
+//!   tiles.
 //! * [`shard`] — horizontal scale-out = segments + a clustered partition +
 //!   a centroid router: [`ShardedIndex`] splits the corpus into N
 //!   independently built segments, a [`ShardRouter`] ranks shards by
@@ -69,7 +71,10 @@
 //!   The [`ListStore`] trait lets [`IvfIndex::search`] and
 //!   [`QuantizedTable::search`] gather rows from RAM or disk with
 //!   bit-identical results, so the pre-filter keeps working when the target
-//!   embedding table itself no longer fits in memory.
+//!   embedding table itself no longer fits in memory. Build and save a
+//!   container once ([`IvfIndex::save`], [`save_ivf_streaming`]) and serve
+//!   it with [`MappedIndex::open`]; the one-shot [`CandidateSearch`] paths
+//!   reach disk only through mapped sharded or LSM segments.
 //!
 //! The crate is deliberately framework-free: no BLAS, no autograd. Gradients
 //! of the margin-based losses used by the models are simple enough to write
@@ -99,10 +104,7 @@ pub mod storage;
 pub mod topk;
 pub mod vector;
 
-pub use ann::{
-    CandidateSearch, CandidateSource, EnvOverrideError, IvfIndex, IvfListStorage, IvfParams,
-    IvfSeeding,
-};
+pub use ann::{CandidateSearch, EnvOverrideError, IvfIndex, IvfListStorage, IvfParams, IvfSeeding};
 pub use candidates::CandidateIndex;
 pub use embedding::EmbeddingTable;
 pub use lsm::{LsmParams, MutableIndex};

@@ -8,10 +8,11 @@
 //! masks:
 //!
 //! * **Sealed segments** — immutable per-segment engines over earlier rows:
-//!   a resident [`IvfIndex`](crate::IvfIndex) or an on-disk candidate
-//!   container written by the streaming builder and served through the
-//!   mapped store. Exactly the single-container engine the property suites
-//!   pin, over a subset of the live rows.
+//!   a resident [`IvfIndex`](crate::IvfIndex) or, per
+//!   [`LsmParams::backing`], an on-disk candidate container written by the
+//!   streaming builder and served through the mapped store. Exactly the
+//!   single-container engine the property suites pin, over a subset of the
+//!   live rows.
 //! * **The mutable segment** — a small in-memory tail of recently inserted
 //!   rows, normalised once on insert and scanned *exactly* with the shared
 //!   [`crate::kernel`] (clamped bit-exact dots, like every engine).
@@ -49,15 +50,15 @@
 //! caller owns (`exea-serve` compacts on a segment-count threshold).
 //!
 //! [`CandidateSearch::Lsm`](crate::CandidateSearch::Lsm) threads the engine
-//! through the [`crate::CandidateSource`] trait (`EXEA_CANDIDATE_SEARCH=lsm-*`),
-//! so prediction, repair and verification downstream ride it unchanged.
+//! through the one-shot candidate path (`EXEA_CANDIDATE_SEARCH=lsm-*`), so
+//! prediction, repair and verification downstream ride it unchanged.
 
 use crate::ann::{IvfParams, ROW_TILE};
 use crate::candidates::Side;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::segment::{self, SegmentStore};
-use crate::storage::{StorageError, TableRows};
+use crate::storage::{StorageError, StoreBacking, TableRows};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
 use rayon::prelude::*;
@@ -83,11 +84,16 @@ pub struct LsmParams {
     /// fills the buffer to this many rows (live or shadowed) seals it into
     /// an immutable segment. Clamped to at least 1.
     pub seal_rows: usize,
-    /// The per-segment engine: list storage (flat or SQ8) and backing
-    /// (resident panels, or per-segment on-disk containers). Auto-tuned
-    /// knobs (`nlist`, `nprobe`) resolve against each segment's row count;
-    /// `seed` drives the ChaCha8 k-means of seals and compactions.
+    /// The per-segment engine: list storage (flat or SQ8) and probing.
+    /// Auto-tuned knobs (`nlist`, `nprobe`) resolve against each segment's
+    /// row count; `seed` drives the ChaCha8 k-means of seals and
+    /// compactions.
     pub ivf: IvfParams,
+    /// Where each sealed segment's row panels (and SQ8 codes) live:
+    /// resident, or a per-segment on-disk container searched through the
+    /// mapped store, removed when the segment drops. Results are
+    /// bit-identical either way.
+    pub backing: StoreBacking,
 }
 
 impl Default for LsmParams {
@@ -95,6 +101,7 @@ impl Default for LsmParams {
         Self {
             seal_rows: DEFAULT_SEAL_ROWS,
             ivf: IvfParams::exhaustive(),
+            backing: StoreBacking::InMemory,
         }
     }
 }
@@ -129,17 +136,17 @@ struct Segment {
 }
 
 impl Segment {
-    /// A segment over `table`'s rows, all live, built with `ivf`.
+    /// A segment over `table`'s rows, all live, built per `params`.
     fn build(
         table: &EmbeddingTable,
         entities: Vec<u32>,
-        ivf: &IvfParams,
+        params: &LsmParams,
     ) -> Result<Segment, StorageError> {
         Ok(Segment {
             alive: vec![true; entities.len()],
             dead: 0,
             entities,
-            store: SegmentStore::build(&TableRows::new(table), ivf)?,
+            store: SegmentStore::build(&TableRows::new(table), &params.ivf, &params.backing)?,
         })
     }
 
@@ -292,13 +299,6 @@ impl MutableIndex {
             .collect()
     }
 
-    /// Live entity ids, ascending.
-    pub fn live_entities(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.live.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Shadows any current live row of `entity` (marks it dead in whichever
     /// segment holds it). Returns whether a row was shadowed.
     fn shadow(&mut self, entity: u32) -> bool {
@@ -361,8 +361,8 @@ impl MutableIndex {
     /// Seals the mutable segment into an immutable one: its live rows (in
     /// insertion order) become a new sealed segment built with
     /// `params.ivf` — streamed into an on-disk container under a mapped
-    /// backing, resident otherwise. A no-op when no live row is buffered
-    /// (shadowed buffer rows are discarded).
+    /// [`LsmParams::backing`], resident otherwise. A no-op when no live row
+    /// is buffered (shadowed buffer rows are discarded).
     ///
     /// On error (spill I/O) the index is unchanged — the builder's RAII
     /// guard removes any partial container, and the mutable segment keeps
@@ -381,7 +381,7 @@ impl MutableIndex {
             }
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let segment = Segment::build(&table, entities, &self.params.ivf)?;
+        let segment = Segment::build(&table, entities, &self.params)?;
         let seg = self.sealed.len() as u32;
         for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
@@ -424,7 +424,7 @@ impl MutableIndex {
             seg.gather_live(self.dim, &mut data, &mut entities);
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let segment = Segment::build(&table, entities, &self.params.ivf)?;
+        let segment = Segment::build(&table, entities, &self.params)?;
         for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
                 entity,
@@ -621,7 +621,7 @@ fn normalize_into(row: &[f32], out: &mut [f32]) {
     }
 }
 
-/// One directed LSM pass of the one-shot [`crate::CandidateSource`] path:
+/// One directed LSM pass of the one-shot [`crate::CandidateSearch`] path:
 /// a [`MutableIndex`] over the corpus side's *raw* rows (insertion
 /// normalises each once, bit-identically to the one-time gather, where
 /// renormalising a gathered unit row would change low bits), sealing every

@@ -42,9 +42,7 @@
 use crate::ann::ROW_TILE;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::storage::{
-    self, InMemory, ListStore, StorageError, StoreBacking, StoreScratch, TableRows,
-};
+use crate::storage::{InMemory, ListStore, StorageError, StoreScratch};
 use crate::topk::{Ranked, TopK};
 use rayon::prelude::*;
 
@@ -62,20 +60,6 @@ pub struct Sq8Params {
     /// `usize::MAX` ([`Sq8Params::exhaustive`]) re-ranks every scanned row,
     /// reproducing the exact scan bit for bit.
     pub rerank_factor: usize,
-    /// Where the code panel and the f32 re-rank rows live during a one-shot
-    /// [`crate::CandidateSearch::Sq8`] search: resident, or spilled to an
-    /// on-disk container and read back through the mapped store. Results
-    /// are bit-identical either way. Ignored when [`Sq8Params`] is used as
-    /// IVF list storage ([`crate::IvfListStorage::Sq8`]) — there the outer
-    /// [`crate::IvfParams::backing`] decides.
-    ///
-    /// The spill is written by the streaming builder
-    /// ([`crate::save_sq8_streaming`]): grid fit, codes and f32 panel are
-    /// produced in bounded chunks, so peak build staging is O(chunk · dim)
-    /// rather than a second resident copy of the corpus. Corpora queried
-    /// repeatedly should build + [`QuantizedTable::save`] once and serve
-    /// queries from [`crate::MappedIndex::open`].
-    pub backing: StoreBacking,
 }
 
 impl Sq8Params {
@@ -85,7 +69,6 @@ impl Sq8Params {
     pub fn exhaustive() -> Self {
         Self {
             rerank_factor: usize::MAX,
-            ..Self::default()
         }
     }
 
@@ -657,38 +640,6 @@ pub(crate) fn sq8_topk_flat(
     blocks.concat()
 }
 
-/// One directed SQ8 pass of the one-shot [`crate::CandidateSearch::Sq8`]
-/// build: quantize the (normalised) corpus side, then run the blocked ADC
-/// scan + exact re-rank — through the in-memory panels, or through a
-/// spilled on-disk container when `params.backing` says so (bit-identical
-/// results either way; the spill file is removed afterwards).
-pub(crate) fn sq8_pass(
-    queries: &EmbeddingTable,
-    corpus_norm: &EmbeddingTable,
-    cap: usize,
-    params: &Sq8Params,
-) -> Vec<Ranked> {
-    let rerank = params.resolved_rerank(cap, corpus_norm.rows());
-    match &params.backing {
-        StoreBacking::InMemory => {
-            let quantized = QuantizedTable::build(corpus_norm);
-            let store = InMemory::with_codes(corpus_norm, &quantized);
-            sq8_topk_flat(queries, &store, cap, rerank)
-        }
-        // The spill path streams the grid fit, codes and panel into the
-        // container in bounded chunks — never materialising a resident
-        // QuantizedTable — and byte-identical to the one-shot save.
-        StoreBacking::Mapped(options) => storage::with_spilled_index(
-            options,
-            |path| {
-                storage::save_sq8_streaming_with_sync(&TableRows::new(corpus_norm), path, 0, false)
-                    .map(|_| ())
-            },
-            |mapped| sq8_topk_flat(queries, mapped.store(), cap, rerank),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,10 +660,7 @@ mod tests {
         assert_eq!(p.resolved_rerank(5, 12), 12, "clamped to corpus");
         assert_eq!(p.resolved_rerank(0, 10), 0);
         assert_eq!(Sq8Params::exhaustive().resolved_rerank(5, 1000), 1000);
-        let two = Sq8Params {
-            rerank_factor: 2,
-            ..Sq8Params::default()
-        };
+        let two = Sq8Params { rerank_factor: 2 };
         assert_eq!(two.resolved_rerank(5, 1000), 10);
         assert_eq!(two.resolved_rerank(5, 3), 3);
     }

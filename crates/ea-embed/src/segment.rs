@@ -2,10 +2,13 @@
 //!
 //! A segment is one immutable IVF engine over a fixed set of rows: the rows
 //! plus an [`IvfIndex`] built over them, or an on-disk candidate container
-//! served through a [`MappedStore`]. Sharding pairs each segment with a
-//! shard-local → global row map and a centroid router; the LSM engine pairs
-//! each with time-ordered entity ids and a shadow mask. Both fold their
-//! per-segment partial lists through [`gather`].
+//! served through a [`MappedStore`]. The owning engine's [`StoreBacking`]
+//! ([`crate::ShardParams::backing`], [`crate::LsmParams::backing`]) picks
+//! which; nothing else in the crate decides where row panels live.
+//! Sharding pairs each segment with a shard-local → global row map and a
+//! centroid router; the LSM engine pairs each with time-ordered entity ids
+//! and a shadow mask. Both fold their per-segment partial lists through
+//! [`gather`].
 
 use crate::ann::{IvfIndex, IvfListStorage, IvfParams, ROW_TILE};
 use crate::embedding::EmbeddingTable;
@@ -39,13 +42,15 @@ pub(crate) enum SegmentStore {
 
 impl SegmentStore {
     /// Builds the engine over `source`'s rows, used as stored: a resident
-    /// [`IvfIndex`], or a streamed container behind a spill guard. On error
-    /// the writer's RAII guard has already removed any partial container.
+    /// [`IvfIndex`], or a streamed container behind a spill guard, per
+    /// `backing`. On error the writer's RAII guard has already removed any
+    /// partial container.
     pub(crate) fn build<S: RowSource + ?Sized>(
         source: &S,
         params: &IvfParams,
+        backing: &StoreBacking,
     ) -> Result<SegmentStore, StorageError> {
-        match &params.backing {
+        match backing {
             StoreBacking::InMemory => {
                 let mut data = vec![0.0f32; source.rows() * source.dim()];
                 source.fill_rows(0, &mut data);

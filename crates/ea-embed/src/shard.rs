@@ -4,8 +4,9 @@
 //! Sharding is the crate's segment layer under a clustered partition plus a
 //! centroid router. A [`ShardedIndex`] splits the (normalised) corpus into
 //! `nshards` partitions and builds one segment per shard — an in-memory
-//! [`IvfIndex`](crate::IvfIndex) or an on-disk candidate container written by
-//! the streaming builder and served through the mapped store — plus the
+//! [`IvfIndex`](crate::IvfIndex) or, per [`ShardParams::backing`], an
+//! on-disk candidate container written by the streaming builder and served
+//! through the mapped store — plus the
 //! shard-local → global row map. The LSM engine ([`crate::MutableIndex`])
 //! runs on the same segments. Each segment is exactly the single-container
 //! engine the rest of the crate already defends, over a subset of the rows;
@@ -95,10 +96,14 @@ pub struct ShardParams {
     pub route_shards: usize,
     /// How rows are assigned to shards.
     pub partition: ShardPartition,
-    /// The per-shard engine: list storage (flat or SQ8) and backing
-    /// (resident panels, or per-shard on-disk containers). Auto-tuned
-    /// knobs (`nlist`, `nprobe`) resolve against each shard's row count.
+    /// The per-shard engine: list storage (flat or SQ8) and probing.
+    /// Auto-tuned knobs (`nlist`, `nprobe`) resolve against each shard's
+    /// row count.
     pub ivf: IvfParams,
+    /// Where each shard's row panels (and SQ8 codes) live: resident, or a
+    /// per-shard on-disk container searched through the mapped store,
+    /// removed when the index drops. Results are bit-identical either way.
+    pub backing: StoreBacking,
 }
 
 impl ShardParams {
@@ -111,6 +116,7 @@ impl ShardParams {
             route_shards: usize::MAX,
             partition: ShardPartition::default(),
             ivf: IvfParams::exhaustive(),
+            backing: StoreBacking::InMemory,
         }
     }
 
@@ -256,11 +262,10 @@ pub struct ShardedIndex {
 impl ShardedIndex {
     /// Partitions `corpus` (rows must already be normalised, like every
     /// engine input in this crate) and builds one engine per shard,
-    /// resident or container-backed per [`ShardParams::ivf`].
+    /// resident or container-backed per [`ShardParams::backing`].
     ///
     /// # Panics
-    /// Panics if a shard container cannot be spilled or read back — same
-    /// contract as the one-shot `*-mapped` candidate paths (use
+    /// Panics if a shard container cannot be spilled or read back (use
     /// [`ShardedIndex::open`] over pre-built containers for typed errors).
     pub fn build(corpus: &EmbeddingTable, params: &ShardParams) -> ShardedIndex {
         let n = corpus.rows();
@@ -272,7 +277,7 @@ impl ShardedIndex {
                     table: corpus,
                     rows: &global,
                 };
-                let store = SegmentStore::build(&rows, &params.ivf)
+                let store = SegmentStore::build(&rows, &params.ivf, &params.backing)
                     .unwrap_or_else(|e| panic!("shard container spill failed: {e}"));
                 Shard { global, store }
             })
@@ -290,7 +295,8 @@ impl ShardedIndex {
     /// corpus rows following shard `s - 1`'s (the [`ShardPartition::Contiguous`]
     /// layout — containers carry no global ids, so the deployment owns the
     /// mapping). Containers must carry IVF state; `params.nshards` is
-    /// ignored in favour of `paths.len()`. Every error names the offending
+    /// ignored in favour of `paths.len()`, and `params.backing` too (the
+    /// containers are already on disk). Every error names the offending
     /// container file ([`StorageError::AtPath`]).
     pub fn open<P: AsRef<Path>>(
         paths: &[P],
@@ -338,11 +344,6 @@ impl ShardedIndex {
     /// Dimension of each row.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Rows held by shard `s`.
-    pub fn shard_rows(&self, s: usize) -> usize {
-        self.shards[s].rows()
     }
 
     /// The parameters this index was built (or opened) with.
@@ -553,7 +554,6 @@ fn partition_rows(corpus: &EmbeddingTable, params: &ShardParams, nshards: usize)
             let train_params = IvfParams {
                 nlist: nshards,
                 storage: IvfListStorage::Flat,
-                backing: StoreBacking::InMemory,
                 ..params.ivf.clone()
             };
             let train = ann::train_streaming(&TableRows::new(corpus), &train_params, n, None);

@@ -21,11 +21,11 @@
 //!   (the vendored [`memmap`] shim) or, when mapping is unavailable,
 //!   buffered positional reads — only the centroids, CSR offsets and SQ8
 //!   grid stay resident.
-//! * **[`StoreBacking`]** — the config knob ([`IvfParams::backing`],
-//!   [`Sq8Params::backing`]) that makes the one-shot candidate-generation
-//!   paths spill their panels to a container and search through the mapped
-//!   reader, end to end, selectable via `EXEA_CANDIDATE_SEARCH=ivf-mapped`,
-//!   `sq8-mapped` or `ivf-sq8-mapped`.
+//! * **[`StoreBacking`]** — the config knob of the two engines that own
+//!   segments ([`ShardParams::backing`], [`LsmParams::backing`]): each
+//!   segment's panels go to a container searched through the mapped
+//!   reader, end to end, selectable via
+//!   `EXEA_CANDIDATE_SEARCH={sharded|lsm}-{ivf|ivf-sq8}-mapped`.
 //! * **Streaming builds** ([`save_ivf_streaming`] / [`save_sq8_streaming`]
 //!   over a [`RowSource`]) — the container is also *writable* out of core:
 //!   rows arrive in bounded chunks, get normalised, assigned to centroids
@@ -52,8 +52,8 @@
 //! (`crates/ea-embed/tests/prop_storage.rs` pins ids *and* score bits,
 //! `storage_threads.rs` re-pins under `RAYON_NUM_THREADS=8`).
 //!
-//! [`IvfParams::backing`]: crate::IvfParams::backing
-//! [`Sq8Params::backing`]: crate::Sq8Params::backing
+//! [`ShardParams::backing`]: crate::ShardParams::backing
+//! [`LsmParams::backing`]: crate::LsmParams::backing
 
 use crate::ann::{self, IvfIndex, IvfListStorage, IvfParams};
 use crate::embedding::EmbeddingTable;
@@ -1389,18 +1389,6 @@ impl IvfIndex {
     /// [`IvfIndex::build`]; shape disagreements are rejected with a typed
     /// error before anything is written.
     pub fn save(&self, corpus: &EmbeddingTable, path: &Path) -> Result<(), StorageError> {
-        self.save_with_sync(corpus, path, true)
-    }
-
-    /// [`IvfIndex::save`] with the fsync made optional — the ephemeral
-    /// spill path writes, reads back and deletes its container within one
-    /// process and skips the durability cost.
-    pub(crate) fn save_with_sync(
-        &self,
-        corpus: &EmbeddingTable,
-        path: &Path,
-        sync: bool,
-    ) -> Result<(), StorageError> {
         if self.list_rows.len() != corpus.rows() {
             return Err(StorageError::ShapeMismatch {
                 section: "list rows",
@@ -1422,7 +1410,6 @@ impl IvfIndex {
             });
         }
         let mut w = ContainerWriter::create(path, corpus.dim() as u32, corpus.rows() as u64)?;
-        w.set_sync_on_finish(sync);
         w.begin_section(SectionKind::Centroids)?;
         w.write_f32s(self.centroids.data())?;
         w.end_section()?;
@@ -1447,17 +1434,6 @@ impl QuantizedTable {
     /// together with the normalised `corpus` panel it was built from
     /// (required for the exact re-rank), into a container at `path`.
     pub fn save(&self, corpus: &EmbeddingTable, path: &Path) -> Result<(), StorageError> {
-        self.save_with_sync(corpus, path, true)
-    }
-
-    /// [`QuantizedTable::save`] with the fsync made optional (the ephemeral
-    /// spill path skips it; see [`IvfIndex::save_with_sync`]).
-    pub(crate) fn save_with_sync(
-        &self,
-        corpus: &EmbeddingTable,
-        path: &Path,
-        sync: bool,
-    ) -> Result<(), StorageError> {
         if self.rows() != corpus.rows() || self.dim() != corpus.dim() {
             return Err(StorageError::ShapeMismatch {
                 section: "sq8 codes",
@@ -1471,7 +1447,6 @@ impl QuantizedTable {
             });
         }
         let mut w = ContainerWriter::create(path, corpus.dim() as u32, corpus.rows() as u64)?;
-        w.set_sync_on_finish(sync);
         write_sq8_sections(&mut w, self)?;
         w.begin_section(SectionKind::F32Panel)?;
         w.write_f32s(corpus.data())?;
@@ -1689,8 +1664,9 @@ pub fn save_ivf_streaming<S: RowSource + ?Sized>(
     save_ivf_streaming_with_sync(source, params, path, chunk_rows, true)
 }
 
-/// [`save_ivf_streaming`] with the fsync made optional (the ephemeral spill
-/// path skips it; see [`IvfIndex::save_with_sync`]).
+/// [`save_ivf_streaming`] with the fsync made optional: a segment's spill
+/// container is written, read back and deleted within one process, so it
+/// skips the durability cost.
 pub(crate) fn save_ivf_streaming_with_sync<S: RowSource + ?Sized>(
     source: &S,
     params: &IvfParams,
@@ -1786,17 +1762,6 @@ pub fn save_sq8_streaming<S: RowSource + ?Sized>(
     path: &Path,
     chunk_rows: usize,
 ) -> Result<StreamingStats, StorageError> {
-    save_sq8_streaming_with_sync(source, path, chunk_rows, true)
-}
-
-/// [`save_sq8_streaming`] with the fsync made optional (the ephemeral spill
-/// path skips it).
-pub(crate) fn save_sq8_streaming_with_sync<S: RowSource + ?Sized>(
-    source: &S,
-    path: &Path,
-    chunk_rows: usize,
-    sync: bool,
-) -> Result<StreamingStats, StorageError> {
     let rows = source.rows();
     let dim = source.dim();
     let chunk_rows = resolve_chunk_rows(chunk_rows, rows);
@@ -1815,7 +1780,6 @@ pub(crate) fn save_sq8_streaming_with_sync<S: RowSource + ?Sized>(
     let (offset, scale) = fit.finish();
 
     let mut w = ContainerWriter::create(path, dim as u32, rows as u64)?;
-    w.set_sync_on_finish(sync);
     w.begin_section(SectionKind::Sq8Grid)?;
     w.write_f32s(&offset)?;
     w.write_f32s(&scale)?;
@@ -2116,19 +2080,20 @@ impl MappedIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Spill backing for the one-shot candidate-generation paths
+// Spill backing for segment engines
 // ---------------------------------------------------------------------------
 
-/// Where a candidate engine keeps its big row panels during a one-shot
-/// search ([`crate::CandidateSearch`]): resident, or spilled to an on-disk
-/// container and searched through the mapped reader.
+/// Where the sharded and LSM engines keep each segment's row panels
+/// ([`crate::ShardParams::backing`], [`crate::LsmParams::backing`]):
+/// resident, or spilled to an on-disk container and searched through the
+/// mapped reader.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StoreBacking {
     /// Panels stay in RAM (the default; fastest when they fit).
     #[default]
     InMemory,
     /// Panels are written to a container file and searched through
-    /// [`MappedStore`]; the spill file is removed when the search finishes.
+    /// [`MappedStore`]; the spill file is removed when its segment drops.
     /// Results are bit-identical to [`StoreBacking::InMemory`].
     Mapped(MappedOptions),
 }
@@ -2188,12 +2153,12 @@ fn mapped_backend_override() -> Option<bool> {
 }
 
 /// Monotone spill-file counter: names stay unique within a process even
-/// when many searches spill concurrently.
+/// when many segments spill concurrently.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Removes the spill container when dropped — including during a panic
-/// unwind out of the search closure, so a failed mapped search cannot leave
-/// an O(rows · dim) file behind in the temp dir.
+/// unwind out of a segment build, so a failed mapped build cannot leave an
+/// O(rows · dim) file behind in the temp dir.
 #[derive(Debug)]
 pub(crate) struct SpillGuard(PathBuf);
 
@@ -2225,40 +2190,6 @@ pub(crate) fn new_spill(options: &MappedOptions) -> SpillGuard {
 /// process override is folded in.
 pub(crate) fn resolved_prefer_mmap(options: &MappedOptions) -> bool {
     mapped_backend_override().unwrap_or(options.prefer_mmap)
-}
-
-/// Saves a container via `save`, opens it mapped, runs `search` against the
-/// [`MappedIndex`] and removes the spill file (on success, error *and*
-/// unwind) — the tail of the `sq8-mapped` one-shot candidate path.
-///
-/// # Panics
-/// Panics if the spill cannot be written or read back: the one-shot
-/// [`crate::CandidateSource`] contract has no error channel, and silently
-/// falling back to the in-memory path would hide a broken deployment (use
-/// the explicit [`IvfIndex::save`] / [`MappedIndex::open`] APIs for typed
-/// errors).
-pub(crate) fn with_spilled_index<T>(
-    options: &MappedOptions,
-    save: impl FnOnce(&Path) -> Result<(), StorageError>,
-    search: impl FnOnce(&MappedIndex) -> T,
-) -> T {
-    let guard = new_spill(options);
-    let path = guard.path();
-    let result = (|| -> Result<T, StorageError> {
-        save(path)?;
-        // The container was just written by this process, so skip re-hashing
-        // it; corruption between write and read would surface as shape
-        // errors or (for genuine bit rot) is covered by explicit opens.
-        let mapped = MappedIndex::open_with(
-            path,
-            &OpenOptions {
-                prefer_mmap: resolved_prefer_mmap(options),
-                verify: false,
-            },
-        )?;
-        Ok(search(&mapped))
-    })();
-    result.unwrap_or_else(|e| panic!("candidate-list spill to {} failed: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -10,9 +10,7 @@
 //! Lives in its own integration-test binary so the env var is set before the
 //! rayon shim samples it.
 
-use ea_embed::{
-    vector, CandidateSearch, CandidateSource, EmbeddingTable, IvfIndex, IvfParams, SimilarityMatrix,
-};
+use ea_embed::{vector, CandidateSearch, EmbeddingTable, IvfIndex, IvfParams, SimilarityMatrix};
 use ea_graph::EntityId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

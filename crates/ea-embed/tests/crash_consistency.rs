@@ -14,14 +14,16 @@
 //! - *bit rot*: a complete container with randomized single-byte flips
 //!   must be caught by the verified open.
 //!
-//! Plus the spill-file RAII contract: search paths that spill panels to
-//! disk leave the spill directory empty afterwards, even across many runs.
+//! Plus the spill-file RAII contract: segment engines that spill their
+//! panels to disk leave the spill directory empty once dropped, even
+//! across many runs.
 //!
 //! [`ContainerWriter`]: crates/ea-embed/src/storage.rs
 
 use ea_embed::{
-    save_ivf_streaming, save_sq8_streaming, EmbeddingTable, IvfIndex, IvfParams, MappedIndex,
-    MappedOptions, OpenOptions, QuantizedTable, RowSource, Sq8Params, StorageError, StoreBacking,
+    save_ivf_streaming, save_sq8_streaming, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams,
+    MappedIndex, MappedOptions, OpenOptions, RowSource, ShardParams, ShardedIndex, Sq8Params,
+    StorageError, StoreBacking,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,17 +241,27 @@ fn spilled_searches_leave_the_spill_directory_empty() {
 
     let corpus = normalized(15, 64, 12);
     let queries = normalized(16, 4, 12);
-    let quant = QuantizedTable::build(&corpus);
-    let resident = quant.search(&queries, &corpus, 5, &Sq8Params::default());
+    let resident_params = ShardParams {
+        nshards: 3,
+        ivf: IvfParams {
+            storage: IvfListStorage::Sq8(Sq8Params::default()),
+            ..IvfParams::default()
+        },
+        ..ShardParams::default()
+    };
+    let resident = ShardedIndex::build(&corpus, &resident_params).search(&queries, 5);
     for round in 0..3 {
-        let params = Sq8Params {
+        let params = ShardParams {
             backing: StoreBacking::Mapped(MappedOptions {
                 dir: Some(dir.clone()),
                 ..MappedOptions::default()
             }),
-            ..Sq8Params::default()
+            ..resident_params.clone()
         };
-        let spilled = quant.search(&queries, &corpus, 5, &params);
+        let index = ShardedIndex::build(&corpus, &params);
+        assert!(index.stored_bytes() > 0, "round {round}: shards must spill");
+        let spilled = index.search(&queries, 5);
+        drop(index);
         assert_eq!(
             spilled, resident,
             "round {round}: spilled search stays bit-identical"

@@ -80,13 +80,11 @@ fn force_eight_threads() {
 fn pread_params(seal_rows: usize, dir: &Path) -> LsmParams {
     LsmParams {
         seal_rows,
-        ivf: IvfParams {
-            backing: StoreBacking::Mapped(MappedOptions {
-                dir: Some(dir.to_path_buf()),
-                prefer_mmap: false,
-            }),
-            ..IvfParams::exhaustive()
-        },
+        ivf: IvfParams::exhaustive(),
+        backing: StoreBacking::Mapped(MappedOptions {
+            dir: Some(dir.to_path_buf()),
+            prefer_mmap: false,
+        }),
     }
 }
 

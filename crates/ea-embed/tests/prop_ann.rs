@@ -16,8 +16,7 @@
 //!    lists partition the corpus.
 
 use ea_embed::{
-    order, CandidateIndex, CandidateSearch, CandidateSource, EmbeddingTable, IvfIndex, IvfParams,
-    SimilarityMatrix,
+    order, CandidateIndex, CandidateSearch, EmbeddingTable, IvfIndex, IvfParams, SimilarityMatrix,
 };
 use ea_graph::EntityId;
 use proptest::prelude::*;

@@ -159,12 +159,12 @@ fn params(seal_rows: usize, mapped: bool, sq8: bool) -> LsmParams {
             } else {
                 IvfListStorage::Flat
             },
-            backing: if mapped {
-                StoreBacking::Mapped(MappedOptions::default())
-            } else {
-                StoreBacking::InMemory
-            },
             ..IvfParams::exhaustive()
+        },
+        backing: if mapped {
+            StoreBacking::Mapped(MappedOptions::default())
+        } else {
+            StoreBacking::InMemory
         },
     }
 }
@@ -209,7 +209,7 @@ proptest! {
         sq8 in 0usize..2,
         dim in 2usize..8,
     ) {
-        use ea_embed::{CandidateSearch, CandidateSource};
+        use ea_embed::CandidateSearch;
         use ea_graph::EntityId;
         let mut rng = StdRng::seed_from_u64(seed);
         let s = EmbeddingTable::xavier(n_s, dim, &mut rng);

@@ -137,6 +137,7 @@ proptest! {
             route_shards: route,
             partition: ShardPartition::Clustered,
             ivf: IvfParams { nprobe, ..IvfParams::default() },
+            backing: StoreBacking::InMemory,
         };
         let sharded = ShardedIndex::build(&corpus, &params);
         let got = sharded.search_routed(&queries, k, route);
@@ -191,12 +192,10 @@ proptest! {
             route_shards: route,
             partition: ShardPartition::Clustered,
             ivf: IvfParams { storage: storage.clone(), ..IvfParams::default() },
+            backing: StoreBacking::InMemory,
         };
         let mapped = ShardParams {
-            ivf: IvfParams {
-                backing: StoreBacking::Mapped(MappedOptions::default()),
-                ..resident.ivf.clone()
-            },
+            backing: StoreBacking::Mapped(MappedOptions::default()),
             ..resident.clone()
         };
         let a = ShardedIndex::build(&corpus, &resident);
@@ -226,10 +225,7 @@ fn opened_shard_containers_match_the_built_shard_set() {
     let params = ShardParams {
         nshards,
         partition: ShardPartition::Contiguous,
-        ivf: IvfParams {
-            backing: StoreBacking::Mapped(MappedOptions::default()),
-            ..IvfParams::default()
-        },
+        backing: StoreBacking::Mapped(MappedOptions::default()),
         ..ShardParams::default()
     };
     let built = ShardedIndex::build(&corpus, &params);

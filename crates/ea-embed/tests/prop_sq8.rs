@@ -16,8 +16,8 @@
 //!    inputs: rebuilds and re-runs are identical to the bit.
 
 use ea_embed::{
-    order, CandidateIndex, CandidateSearch, CandidateSource, EmbeddingTable, IvfListStorage,
-    IvfParams, QuantizedTable, SimilarityMatrix, Sq8Params,
+    order, CandidateIndex, CandidateSearch, EmbeddingTable, IvfListStorage, IvfParams,
+    QuantizedTable, SimilarityMatrix, Sq8Params,
 };
 use ea_graph::EntityId;
 use proptest::prelude::*;
@@ -83,7 +83,7 @@ proptest! {
         let (s, t) = tables(seed, n_s, n_t, dim);
         let (sids, tids) = (ids(n_s), ids(n_t));
         let m = SimilarityMatrix::compute(&s, &sids, &t, &tids);
-        let search = CandidateSearch::Sq8(Sq8Params { rerank_factor, ..Sq8Params::default() });
+        let search = CandidateSearch::Sq8(Sq8Params { rerank_factor });
         let index = search.forward_index(&s, &sids, &t, &tids, k);
 
         for (i, &sid) in sids.iter().enumerate() {
@@ -200,7 +200,7 @@ proptest! {
         let index = CandidateSearch::Ivf(IvfParams {
             nlist,
             nprobe,
-            storage: IvfListStorage::Sq8(Sq8Params { rerank_factor, ..Sq8Params::default() }),
+            storage: IvfListStorage::Sq8(Sq8Params { rerank_factor }),
             ..IvfParams::default()
         })
         .forward_index(&s, &sids, &t, &tids, k);

@@ -7,9 +7,9 @@
 //!    forced-pread backends) → search returns bit-identical `(id, score
 //!    bits)` lists to the in-memory backend, for IVF-flat, IVF-SQ and the
 //!    whole-corpus SQ8 scan, at every probe/re-rank setting tried. The
-//!    config-level spill path ([`StoreBacking::Mapped`] inside
-//!    [`CandidateSearch`]) is pinned the same way end to end, reverse lists
-//!    included.
+//!    config-level spill path ([`StoreBacking::Mapped`] segments of the
+//!    sharded and LSM [`CandidateSearch`] engines, mmap and pread) is pinned
+//!    the same way end to end, reverse lists included.
 //! 2. **Corruption rejection** — truncating the container at any point, or
 //!    flipping any byte of it, makes `MappedIndex::open` return a typed
 //!    [`StorageError`] (never a panic, never a silently-wrong index).
@@ -18,8 +18,8 @@
 //!    violations with errors naming the offending section.
 
 use ea_embed::{
-    CandidateSearch, CandidateSource, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams,
-    MappedIndex, MappedOptions, OpenOptions, QuantizedTable, Sq8Params, StorageError, StoreBacking,
+    CandidateSearch, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, LsmParams, MappedIndex,
+    MappedOptions, OpenOptions, QuantizedTable, ShardParams, Sq8Params, StorageError, StoreBacking,
 };
 use ea_graph::EntityId;
 use proptest::prelude::*;
@@ -137,7 +137,7 @@ proptest! {
         let corpus = normalized(seed, n, dim);
         let queries = normalized(seed.wrapping_add(1), n_q, dim);
         let quantized = QuantizedTable::build(&corpus);
-        let params = Sq8Params { rerank_factor, ..Sq8Params::default() };
+        let params = Sq8Params { rerank_factor };
         let in_memory = quantized.search(&queries, &corpus, k, &params);
 
         let file = TempFile::new("sq8");
@@ -157,59 +157,62 @@ proptest! {
         n_s in 1usize..14,
         n_t in 1usize..20,
         k in 1usize..6,
-        engine in 0usize..3,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let s = EmbeddingTable::xavier(n_s, 6, &mut rng);
         let t = EmbeddingTable::xavier(n_t, 6, &mut rng);
         let (sids, tids) = (ids(n_s), ids(n_t));
-        let mapped_backing = StoreBacking::Mapped(MappedOptions::default());
-        let (resident, mapped) = match engine {
-            0 => (
-                CandidateSearch::Sq8(Sq8Params::default()),
-                CandidateSearch::Sq8(Sq8Params {
-                    backing: mapped_backing,
-                    ..Sq8Params::default()
-                }),
-            ),
-            1 => (
-                CandidateSearch::Ivf(IvfParams::default()),
-                CandidateSearch::Ivf(IvfParams {
-                    backing: mapped_backing,
-                    ..IvfParams::default()
-                }),
-            ),
-            _ => (
-                CandidateSearch::Ivf(IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    ..IvfParams::default()
-                }),
-                CandidateSearch::Ivf(IvfParams {
-                    storage: IvfListStorage::Sq8(Sq8Params::default()),
-                    backing: mapped_backing,
-                    ..IvfParams::default()
-                }),
-            ),
-        };
-        let a = resident.bidirectional_index(&s, &sids, &t, &tids, k);
-        let b = mapped.bidirectional_index(&s, &sids, &t, &tids, k);
-        for i in 0..n_s {
-            let ra: Vec<(EntityId, u32)> = a.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
-            let rb: Vec<(EntityId, u32)> = b.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
-            prop_assert_eq!(ra, rb, "{}: forward row {} diverged", mapped.name(), i);
+        // Every mapped strategy in every case: {sharded, LSM} × {flat, SQ8
+        // lists} × {mmap, pread}, each against its resident twin.
+        for (sq8, prefer_mmap) in [(false, true), (false, false), (true, true), (true, false)] {
+            let ivf = IvfParams {
+                storage: if sq8 {
+                    IvfListStorage::Sq8(Sq8Params::default())
+                } else {
+                    IvfListStorage::Flat
+                },
+                ..IvfParams::default()
+            };
+            let backing = StoreBacking::Mapped(MappedOptions {
+                prefer_mmap,
+                ..MappedOptions::default()
+            });
+            let sharded = ShardParams { nshards: 3, ivf: ivf.clone(), ..ShardParams::default() };
+            // A seal budget below the corpus makes several mapped segments.
+            let lsm = LsmParams { seal_rows: 4, ivf, ..LsmParams::default() };
+            for (resident, mapped) in [
+                (
+                    CandidateSearch::Sharded(sharded.clone()),
+                    CandidateSearch::Sharded(ShardParams { backing: backing.clone(), ..sharded }),
+                ),
+                (
+                    CandidateSearch::Lsm(lsm.clone()),
+                    CandidateSearch::Lsm(LsmParams { backing, ..lsm }),
+                ),
+            ] {
+                let a = resident.bidirectional_index(&s, &sids, &t, &tids, k);
+                let b = mapped.bidirectional_index(&s, &sids, &t, &tids, k);
+                for i in 0..n_s {
+                    let ra: Vec<(EntityId, u32)> =
+                        a.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
+                    let rb: Vec<(EntityId, u32)> =
+                        b.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
+                    prop_assert_eq!(ra, rb, "{}: forward row {} diverged", mapped.name(), i);
+                }
+                for &tid in &tids {
+                    prop_assert_eq!(
+                        a.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
+                        b.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
+                        "{}: reverse head for {:?} diverged", mapped.name(), tid
+                    );
+                }
+                prop_assert_eq!(
+                    a.greedy_alignment().to_vec(),
+                    b.greedy_alignment().to_vec(),
+                    "{}: greedy alignment diverged", mapped.name()
+                );
+            }
         }
-        for &tid in &tids {
-            prop_assert_eq!(
-                a.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
-                b.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
-                "{}: reverse head for {:?} diverged", mapped.name(), tid
-            );
-        }
-        prop_assert_eq!(
-            a.greedy_alignment().to_vec(),
-            b.greedy_alignment().to_vec(),
-            "{}: greedy alignment diverged", mapped.name()
-        );
     }
 
     #[test]

@@ -201,7 +201,7 @@ proptest! {
     ) {
         let corpus = normalized(seed, n, dim);
         let queries = normalized(seed.wrapping_add(1), n_q, dim);
-        let params = Sq8Params { rerank_factor, ..Sq8Params::default() };
+        let params = Sq8Params { rerank_factor };
         let in_memory = QuantizedTable::build(&corpus).search(&queries, &corpus, k, &params);
 
         let file = TempFile::new("sq8-backend");
@@ -211,42 +211,6 @@ proptest! {
             let got = mapped.search_sq8(&queries, k, &params);
             assert_rows_bit_identical(&in_memory, &got, mapped.backend());
         }
-    }
-
-    #[test]
-    fn build_streaming_matches_one_shot_build(
-        seed in 0u64..10_000,
-        n_q in 1usize..10,
-        n in 1usize..50,
-        k in 1usize..6,
-        nlist in 1usize..8,
-        nprobe in 1usize..8,
-        chunk in 1usize..70,
-        kmeanspp in proptest::bool::ANY,
-    ) {
-        let corpus = normalized(seed, n, 5);
-        let queries = normalized(seed.wrapping_add(1), n_q, 5);
-        let params = IvfParams {
-            nlist,
-            seeding: if kmeanspp {
-                IvfSeeding::KmeansPlusPlus
-            } else {
-                IvfSeeding::Shuffle
-            },
-            ..IvfParams::default()
-        };
-        let one_shot = IvfIndex::build(&corpus, &params);
-        let (streamed, stats) = IvfIndex::build_streaming(&TableRows::new(&corpus), &params, chunk);
-        prop_assert_eq!(stats.rows, n);
-        prop_assert_eq!(one_shot.nlist(), streamed.nlist());
-        for list in 0..one_shot.nlist() {
-            prop_assert_eq!(one_shot.list(list), streamed.list(list), "list {} diverged", list);
-        }
-        assert_rows_bit_identical(
-            &one_shot.search(&queries, &corpus, k, nprobe),
-            &streamed.search(&queries, &corpus, k, nprobe),
-            "build_streaming",
-        );
     }
 
     #[test]

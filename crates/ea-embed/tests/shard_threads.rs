@@ -12,8 +12,8 @@
 //! the rayon shim samples it.
 
 use ea_embed::{
-    CandidateSearch, CandidateSource, EmbeddingTable, MappedOptions, ShardParams, ShardPartition,
-    ShardedIndex, SimilarityMatrix, StoreBacking,
+    CandidateSearch, EmbeddingTable, MappedOptions, ShardParams, ShardPartition, ShardedIndex,
+    SimilarityMatrix, StoreBacking,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;
@@ -115,10 +115,7 @@ fn eight_thread_mapped_shards_match_resident_shards() {
         ..ShardParams::default()
     };
     let mapped = ShardParams {
-        ivf: ea_embed::IvfParams {
-            backing: StoreBacking::Mapped(MappedOptions::default()),
-            ..resident.ivf.clone()
-        },
+        backing: StoreBacking::Mapped(MappedOptions::default()),
         ..resident.clone()
     };
     let a = ShardedIndex::build(&corpus, &resident).search(&queries, 7);

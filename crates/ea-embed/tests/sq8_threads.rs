@@ -9,8 +9,7 @@
 //! binary so the env var is set before the rayon shim samples it.
 
 use ea_embed::{
-    CandidateSearch, CandidateSource, EmbeddingTable, IvfListStorage, IvfParams, SimilarityMatrix,
-    Sq8Params,
+    CandidateSearch, EmbeddingTable, IvfListStorage, IvfParams, SimilarityMatrix, Sq8Params,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;

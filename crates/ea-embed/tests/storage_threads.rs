@@ -9,8 +9,8 @@
 //! binary so the env var is set before the rayon shim samples it.
 
 use ea_embed::{
-    CandidateSearch, CandidateSource, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams,
-    MappedIndex, MappedOptions, Sq8Params, StoreBacking,
+    CandidateSearch, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, LsmParams, MappedIndex,
+    MappedOptions, ShardParams, Sq8Params, StoreBacking,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;
@@ -68,32 +68,73 @@ fn mapped_backing_strategies_are_run_to_run_deterministic_under_forced_paralleli
     std::env::set_var("RAYON_NUM_THREADS", "8");
     let (s, t) = tables(53, 260, 340, 12);
     let (sids, tids) = (ids(260), ids(340));
-    let mapped = StoreBacking::Mapped(MappedOptions::default());
-    for search in [
-        CandidateSearch::Sq8(Sq8Params {
-            backing: mapped.clone(),
-            ..Sq8Params::default()
-        }),
-        CandidateSearch::Ivf(IvfParams {
-            storage: IvfListStorage::Sq8(Sq8Params::default()),
-            backing: mapped.clone(),
-            ..IvfParams::default()
-        }),
-    ] {
-        let a = search.bidirectional_index(&s, &sids, &t, &tids, 5);
-        let b = search.bidirectional_index(&s, &sids, &t, &tids, 5);
-        for i in 0..sids.len() {
-            let ra: Vec<(EntityId, u32)> = a.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
-            let rb: Vec<(EntityId, u32)> = b.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
-            assert_eq!(ra, rb, "{} re-run diverged on row {i}", search.name());
-        }
-        for &tid in &tids {
-            assert_eq!(
-                a.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
-                b.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
-                "{} reverse head diverged",
-                search.name()
-            );
+    let ivf = IvfParams {
+        storage: IvfListStorage::Sq8(Sq8Params::default()),
+        ..IvfParams::default()
+    };
+    let sharded = ShardParams {
+        nshards: 3,
+        ivf: ivf.clone(),
+        ..ShardParams::default()
+    };
+    let lsm = LsmParams {
+        seal_rows: 64,
+        ivf,
+        ..LsmParams::default()
+    };
+    for prefer_mmap in [true, false] {
+        let backing = StoreBacking::Mapped(MappedOptions {
+            prefer_mmap,
+            ..MappedOptions::default()
+        });
+        for (resident, search) in [
+            (
+                CandidateSearch::Sharded(sharded.clone()),
+                CandidateSearch::Sharded(ShardParams {
+                    backing: backing.clone(),
+                    ..sharded.clone()
+                }),
+            ),
+            (
+                CandidateSearch::Lsm(lsm.clone()),
+                CandidateSearch::Lsm(LsmParams {
+                    backing: backing.clone(),
+                    ..lsm.clone()
+                }),
+            ),
+        ] {
+            let a = search.bidirectional_index(&s, &sids, &t, &tids, 5);
+            let b = search.bidirectional_index(&s, &sids, &t, &tids, 5);
+            let c = resident.bidirectional_index(&s, &sids, &t, &tids, 5);
+            for i in 0..sids.len() {
+                let row = |x: &ea_embed::CandidateIndex| -> Vec<(EntityId, u32)> {
+                    x.candidates(i).map(|(e, v)| (e, v.to_bits())).collect()
+                };
+                assert_eq!(
+                    row(&a),
+                    row(&b),
+                    "{} re-run diverged on row {i}",
+                    search.name()
+                );
+                assert_eq!(row(&a), row(&c), "{} vs resident on row {i}", search.name());
+            }
+            for &tid in &tids {
+                let head = |x: &ea_embed::CandidateIndex| {
+                    x.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits()))
+                };
+                assert_eq!(
+                    head(&a),
+                    head(&b),
+                    "{} reverse head diverged",
+                    search.name()
+                );
+                assert_eq!(
+                    head(&a),
+                    head(&c),
+                    "{} reverse head vs resident",
+                    search.name()
+                );
+            }
         }
     }
 }

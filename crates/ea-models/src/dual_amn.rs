@@ -257,7 +257,6 @@ fn mutual_anchor_candidates(
     // the IVF pre-filter or the sharded scatter-gather engine (approximate
     // mining trades a few anchors for a sub-quadratic sweep; at
     // `nprobe = nlist` / full routing it is bit-identical).
-    use ea_embed::CandidateSource as _;
     let index = search.bidirectional_index(source_out, &sources, target_out, &targets, 1);
     let mut pseudo = Vec::new();
     for (i, &s) in sources.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! The artifact produced by training: embeddings plus inference helpers.
 
-use ea_embed::{CandidateIndex, CandidateSource, EmbeddingTable, SimilarityMatrix};
+use ea_embed::{CandidateIndex, CandidateSearch, EmbeddingTable, SimilarityMatrix};
 use ea_graph::{AlignmentSet, EntityId, KgPair, KgSide, RelationId};
 
 /// The output of training an EA model on a [`KgPair`]: entity embeddings for
@@ -107,72 +107,35 @@ impl TrainedAlignment {
         )
     }
 
-    /// Similarity matrix between arbitrary entity lists.
-    pub fn similarity_matrix_between(
-        &self,
-        sources: &[EntityId],
-        targets: &[EntityId],
-    ) -> SimilarityMatrix {
-        SimilarityMatrix::compute(
-            &self.source_entities,
-            sources,
-            &self.target_entities,
-            targets,
-        )
-    }
-
     /// Blocked top-`k` candidate lists between the pair's test source
     /// entities and all target entities — the bounded-memory production form
     /// of the matrix `M` (same greedy alignment and top-k candidates as
     /// [`TrainedAlignment::similarity_matrix`], O(n·k) storage). Exact scan;
     /// use [`TrainedAlignment::candidate_index_with`] to switch strategies.
     pub fn candidate_index(&self, pair: &KgPair, k: usize) -> CandidateIndex {
-        self.candidate_index_with(pair, k, &ea_embed::CandidateSearch::Exact)
+        self.candidate_index_with(pair, k, &CandidateSearch::Exact)
     }
 
     /// Top-`k` candidate lists between the pair's test source entities and
     /// all target entities, produced by the given candidate-generation
-    /// strategy ([`ea_embed::CandidateSearch`]) — the exact blocked scan,
-    /// the IVF approximate pre-filter (optionally IVF-SQ), the SQ8
-    /// quantized scan or the sharded scatter-gather engine. Approximate
-    /// strategies may miss candidates but every returned score is the
-    /// bit-exact f32 dot of the exact kernel.
+    /// strategy ([`CandidateSearch`]) — the exact blocked scan, the IVF
+    /// approximate pre-filter (optionally IVF-SQ), the SQ8 quantized scan,
+    /// or the sharded or LSM segment engines. Approximate strategies may
+    /// miss candidates but every returned score is the bit-exact f32 dot of
+    /// the exact kernel.
     pub fn candidate_index_with(
         &self,
         pair: &KgPair,
         k: usize,
-        search: &dyn CandidateSource,
+        search: &CandidateSearch,
     ) -> CandidateIndex {
         let sources = pair.test_source_entities();
         let targets: Vec<EntityId> = pair.target.entity_ids().collect();
-        self.candidate_index_between_with(&sources, &targets, k, search)
-    }
-
-    /// Blocked top-`k` candidate lists between arbitrary entity lists
-    /// (exact scan).
-    pub fn candidate_index_between(
-        &self,
-        sources: &[EntityId],
-        targets: &[EntityId],
-        k: usize,
-    ) -> CandidateIndex {
-        self.candidate_index_between_with(sources, targets, k, &ea_embed::CandidateSearch::Exact)
-    }
-
-    /// Top-`k` candidate lists between arbitrary entity lists under the given
-    /// candidate-generation strategy.
-    pub fn candidate_index_between_with(
-        &self,
-        sources: &[EntityId],
-        targets: &[EntityId],
-        k: usize,
-        search: &dyn CandidateSource,
-    ) -> CandidateIndex {
         search.forward_index(
             &self.source_entities,
-            sources,
+            &sources,
             &self.target_entities,
-            targets,
+            &targets,
             k,
         )
     }
@@ -180,21 +143,11 @@ impl TrainedAlignment {
     /// Greedy alignment prediction for the pair's test source entities
     /// (the paper's `Ares`). Runs on the blocked candidate engine with
     /// `k = 1`, so prediction memory is O(n) instead of the dense matrix's
-    /// O(n²). Exact scan; use [`TrainedAlignment::predict_with`] to switch
-    /// strategies.
+    /// O(n²). Exact scan; `candidate_index_with(pair, 1, search)` followed
+    /// by [`CandidateIndex::greedy_alignment`] predicts through another
+    /// strategy.
     pub fn predict(&self, pair: &KgPair) -> AlignmentSet {
         self.candidate_index(pair, 1).greedy_alignment()
-    }
-
-    /// Greedy alignment prediction through the given candidate-generation
-    /// strategy. With [`ea_embed::CandidateSearch::Ivf`] at `nprobe < nlist`
-    /// (or [`ea_embed::CandidateSearch::Sq8`] at a finite `rerank_factor`)
-    /// the prediction is approximate (each source aligns to the best target
-    /// the strategy surfaced); at `nprobe = nlist` / exhaustive re-ranking
-    /// it is bit-identical to [`TrainedAlignment::predict`].
-    pub fn predict_with(&self, pair: &KgPair, search: &dyn CandidateSource) -> AlignmentSet {
-        self.candidate_index_with(pair, 1, search)
-            .greedy_alignment()
     }
 
     /// Alignment accuracy of the greedy prediction against the reference
@@ -287,9 +240,6 @@ mod tests {
             m.similarity(b1, b2).unwrap(),
             trained.entity_similarity(b1, b2)
         );
-        let sub = trained.similarity_matrix_between(&[b1], &[b2, c2]);
-        assert_eq!(sub.source_ids().len(), 1);
-        assert_eq!(sub.target_ids().len(), 2);
     }
 
     #[test]
@@ -312,13 +262,6 @@ mod tests {
                 assert_eq!(ds.to_bits(), bs.to_bits());
             }
         }
-        let sub = trained.candidate_index_between(
-            &[pair.source.entity_by_name("b1").unwrap()],
-            &[pair.target.entity_by_name("b2").unwrap()],
-            2,
-        );
-        assert_eq!(sub.source_ids().len(), 1);
-        assert_eq!(sub.candidates_per_source(), 1);
     }
 
     #[test]

@@ -194,9 +194,11 @@ impl Engine {
         let source_norm = source_table.gather_normalized(&all_sources);
         let target_norm = target_table.gather_normalized(&all_targets);
 
-        // Full tier: exhaustive IVF parameters + full routing keeps the
-        // sharded engine bit-identical to the exact scan, so the top tier
-        // serves exactly what the offline pipeline would.
+        // Partial tier: the sharded engine, searched only through the
+        // explicit `partial_route` below. Exhaustive per-shard IVF makes
+        // every routed shard answer exactly, so Partial misses only what the
+        // unrouted shards hold (subset-only). The Full tier is the live LSM
+        // corpus built further down.
         let shard_params = ShardParams {
             nshards: config.nshards,
             route_shards: usize::MAX,

@@ -4,12 +4,13 @@
 //! must make exactly the decisions the exact scan makes; with partial
 //! probing it must still produce a valid one-to-one repaired alignment.
 //! The same holds for every exhaustive engine layer (single, sharded, LSM)
-//! over every list storage and backing.
+//! over every list storage, and for the sharded and LSM layers over every
+//! backing.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::{
-    CandidateSearch, CandidateSource, IvfListStorage, IvfParams, LsmParams, MappedOptions,
-    ShardParams, Sq8Params, StoreBacking,
+    CandidateSearch, IvfListStorage, IvfParams, LsmParams, MappedOptions, ShardParams, Sq8Params,
+    StoreBacking,
 };
 use ea_models::{build_model, ModelKind, TrainConfig};
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
@@ -85,33 +86,35 @@ fn every_exhaustive_engine_layer_reproduces_exact_repair_and_verification() {
         IvfListStorage::Flat,
         IvfListStorage::Sq8(Sq8Params::exhaustive()),
     ] {
+        let ivf = IvfParams {
+            storage,
+            ..IvfParams::exhaustive()
+        };
+        let mut layers = vec![CandidateSearch::Ivf(ivf.clone())];
         for backing in [
             StoreBacking::InMemory,
             StoreBacking::Mapped(MappedOptions::default()),
         ] {
-            let ivf = IvfParams {
-                storage: storage.clone(),
+            layers.push(CandidateSearch::Sharded(ShardParams {
+                nshards: 3,
+                ivf: ivf.clone(),
+                backing: backing.clone(),
+                ..ShardParams::exhaustive()
+            }));
+            // A seal budget far below the corpus forces many segments.
+            layers.push(CandidateSearch::Lsm(LsmParams {
+                seal_rows: 64,
+                ivf: ivf.clone(),
                 backing,
-                ..IvfParams::exhaustive()
-            };
-            let layers = [
-                CandidateSearch::Ivf(ivf.clone()),
-                CandidateSearch::Sharded(ShardParams {
-                    nshards: 3,
-                    ivf: ivf.clone(),
-                    ..ShardParams::exhaustive()
-                }),
-                // A seal budget far below the corpus forces many segments.
-                CandidateSearch::Lsm(LsmParams { seal_rows: 64, ivf }),
-            ];
-            for search in layers {
-                let name = search.name();
-                let (predictions, repaired, stats, verdicts) = run(search);
-                assert!(predictions == exact.0, "{name}: predictions diverged");
-                assert!(repaired == exact.1, "{name}: repaired set diverged");
-                assert_eq!(stats, exact.2, "{name}: repair stats diverged");
-                assert!(verdicts == exact.3, "{name}: verification diverged");
-            }
+            }));
+        }
+        for search in layers {
+            let name = search.name();
+            let (predictions, repaired, stats, verdicts) = run(search);
+            assert!(predictions == exact.0, "{name}: predictions diverged");
+            assert!(repaired == exact.1, "{name}: repaired set diverged");
+            assert_eq!(stats, exact.2, "{name}: repair stats diverged");
+            assert!(verdicts == exact.3, "{name}: verification diverged");
         }
     }
 }
