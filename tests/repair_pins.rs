@@ -1,18 +1,24 @@
 //! Bit pins of ExEA repair and top-candidate verification.
 //!
-//! For MTransE and GCN-Align on ZH-EN and DBP-WD (`Small`, trained with
-//! `TrainConfig::fast()`), these tests hash the repaired alignment and the
-//! `RepairStats` under `RepairConfig::default()` and each of its three
-//! ablations, plus the `verify_top_candidates(_, 5)` verdicts, and compare
-//! them against digests recorded before any of the code under test was
-//! refactored. The exact candidate engine is pinned in both `TrainConfig`
-//! and `ExeaConfig`, so the `EXEA_CANDIDATE_SEARCH` override cannot move
-//! them. The digests are the same at 1 and 8 rayon threads; a change meant
-//! to preserve repair and verification bit for bit must keep them.
+//! For MTransE and GCN-Align on ZH-EN and DBP-WD, Dual-AMN on ZH-EN and
+//! AlignE on DBP-WD (`Small`, trained with `TrainConfig::fast()`), these
+//! tests hash the repaired alignment and the `RepairStats` under
+//! `RepairConfig::default()` and each of its three ablations, plus the
+//! `verify_top_candidates(_, 5)` verdicts, and compare them against digests
+//! recorded before any of the code under test was refactored. Two more
+//! groups (MTransE on ZH-EN, GCN-Align on DBP-WD) run on a seed with 30% of
+//! its pairs corrupted, so predictions claim seed targets and several seed
+//! sources share a target: repair's seed-target dissolve and its rule that
+//! seed holders are never displaced are pinned too. The exact candidate
+//! engine is pinned in both `TrainConfig` and `ExeaConfig`, so the
+//! `EXEA_CANDIDATE_SEARCH` override cannot move them. The digests are the
+//! same at 1 and 8 rayon threads; a change meant to preserve repair and
+//! verification bit for bit must keep them.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
+use ea_data::noise::with_noisy_seed;
 use ea_embed::CandidateSearch;
-use ea_graph::AlignmentPair;
+use ea_graph::{AlignmentPair, KgPair};
 use ea_models::{build_model, ModelKind, TrainConfig};
 use exea_core::repair::RepairStats;
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
@@ -62,15 +68,14 @@ fn stats_digest(stats: &RepairStats) -> u64 {
 /// default, without cr1, without cr2, without cr3; then the verdict digest.
 type Pins = ([(u64, u64); 4], u64);
 
-fn digests(model: ModelKind, dataset: DatasetName) -> Pins {
-    let pair = load(dataset, DatasetScale::Small);
+fn digests(model: ModelKind, pair: &KgPair) -> Pins {
     let train = TrainConfig {
         candidate_search: CandidateSearch::Exact,
         ..TrainConfig::fast()
     };
-    let trained = build_model(model, train).train(&pair);
+    let trained = build_model(model, train).train(pair);
     let exea = ExEa::new(
-        &pair,
+        pair,
         &trained,
         ExeaConfig {
             candidate_search: CandidateSearch::Exact,
@@ -99,8 +104,22 @@ fn digests(model: ModelKind, dataset: DatasetName) -> Pins {
 }
 
 fn check(model: ModelKind, dataset: DatasetName, want: Pins) {
-    let got = digests(model, dataset);
+    let got = digests(model, &load(dataset, DatasetScale::Small));
     assert_eq!(got, want, "{model:?} on {dataset:?}: got {got:#018x?}");
+}
+
+/// [`check`] on the dataset with 30% of its seed pairs corrupted.
+fn check_noisy_seed(model: ModelKind, dataset: DatasetName, want: Pins) {
+    let pair = with_noisy_seed(&load(dataset, DatasetScale::Small), 0.3, 7);
+    assert!(
+        !pair.seed.is_one_to_one(),
+        "test premise: several seed sources share a target"
+    );
+    let got = digests(model, &pair);
+    assert_eq!(
+        got, want,
+        "{model:?} on {dataset:?} with a noisy seed: got {got:#018x?}"
+    );
 }
 
 #[test]
@@ -167,6 +186,74 @@ fn gcn_align_dbp_wd_repair_and_verification_are_pinned() {
                 (0x1433_f3ee_930c_bcb5, 0x96e1_e6f4_816f_b4b2),
             ],
             0x8795_91bb_f9c2_2cba,
+        ),
+    );
+}
+
+#[test]
+fn dual_amn_zh_en_repair_and_verification_are_pinned() {
+    check(
+        ModelKind::DualAmn,
+        DatasetName::ZhEn,
+        (
+            [
+                (0x7751_df5e_a37b_9c59, 0x6859_6237_82c9_0c44),
+                (0xd505_a1b5_2b44_5eeb, 0x4508_04d9_8dea_814c),
+                (0xa594_bc4b_1d5a_1951, 0x9903_8ed8_36f7_aeaf),
+                (0x9511_ffa7_1c5b_fb01, 0x265a_fb7b_f94d_c44a),
+            ],
+            0xf261_060a_e3a1_d71a,
+        ),
+    );
+}
+
+#[test]
+fn aligne_dbp_wd_repair_and_verification_are_pinned() {
+    check(
+        ModelKind::AlignE,
+        DatasetName::DbpWd,
+        (
+            [
+                (0x8fc3_840e_ad56_63eb, 0xd535_c65c_66a0_7ee6),
+                (0x32e9_b71d_b784_bc1d, 0xffd4_abe9_93f5_987e),
+                (0x3fdd_6eb6_8bfe_5034, 0xc88d_f682_9e7a_5c79),
+                (0x1680_7b5f_dbe4_1489, 0xcd70_91b1_8177_0b43),
+            ],
+            0x203a_1e18_58e6_639c,
+        ),
+    );
+}
+
+#[test]
+fn mtranse_zh_en_noisy_seed_repair_and_verification_are_pinned() {
+    check_noisy_seed(
+        ModelKind::MTransE,
+        DatasetName::ZhEn,
+        (
+            [
+                (0x1001_4d23_93d1_ecc7, 0x9729_f9d7_6879_532e),
+                (0x7e82_7d06_0d79_a049, 0xcb56_7e1f_208e_a332),
+                (0xf2fc_fed2_6938_416c, 0xf910_7331_bd1d_b36e),
+                (0x5338_a99a_58ed_b673, 0x6844_161b_ab7a_fb75),
+            ],
+            0x2de1_2cdc_7f4c_43a8,
+        ),
+    );
+}
+
+#[test]
+fn gcn_align_dbp_wd_noisy_seed_repair_and_verification_are_pinned() {
+    check_noisy_seed(
+        ModelKind::GcnAlign,
+        DatasetName::DbpWd,
+        (
+            [
+                (0x1e3c_32f8_e859_56de, 0xe2ac_408c_d31b_75df),
+                (0xbb9a_51f1_6a0a_055c, 0x25b5_4df3_a201_fb3c),
+                (0x1590_ff81_d2be_8824, 0x8d69_cabc_6528_c051),
+                (0x75a8_9ed1_1828_5514, 0xdf27_fb6a_745d_de96),
+            ],
+            0x3623_cc8c_3cdf_76d4,
         ),
     );
 }
