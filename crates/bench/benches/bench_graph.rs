@@ -87,7 +87,7 @@ fn bench_batch_pipeline(c: &mut Criterion) {
         b.iter(|| {
             black_box(exea.explain_and_score_batch(
                 &pairs,
-                &state,
+                state,
                 true,
                 &BatchOptions::sequential(),
             ))
@@ -97,7 +97,7 @@ fn bench_batch_pipeline(c: &mut Criterion) {
         b.iter(|| {
             black_box(exea.explain_and_score_batch(
                 &pairs,
-                &state,
+                state,
                 true,
                 &BatchOptions::always_parallel(),
             ))

@@ -325,13 +325,13 @@ fn fig4(config: &BenchConfig) {
         let state = exea.default_alignment_state();
         let (_, elapsed) = time_it(|| {
             let _ =
-                exea.explain_and_score_batch(&samples, &state, true, &BatchOptions::sequential());
+                exea.explain_and_score_batch(&samples, state, true, &BatchOptions::sequential());
         });
         timings.push(("ExEA (batch, 1 thread)".to_owned(), elapsed.as_secs_f64()));
         let (_, elapsed) = time_it(|| {
             let _ = exea.explain_and_score_batch(
                 &samples,
-                &state,
+                state,
                 true,
                 &BatchOptions::always_parallel(),
             );

@@ -34,6 +34,8 @@ pub struct ExEa<'a> {
     relation_alignment: RelationAlignment,
     target_rules: NotSameAsRules,
     predictions: AlignmentSet,
+    /// The default alignment state: `predictions` plus the seed alignment.
+    state: AlignmentSet,
     batch: BatchOptions,
     /// Top-k candidate engine (`k = config.top_k`), built once at
     /// construction and shared by prediction, the repair loops and candidate
@@ -70,6 +72,8 @@ impl<'a> ExEa<'a> {
         // built exactly once per framework.
         let candidates = trained.candidate_index_with(pair, config.top_k, &config.candidate_search);
         let predictions = candidates.greedy_alignment();
+        let mut state = predictions.clone();
+        state.extend_from(&pair.seed);
         Self {
             pair,
             trained,
@@ -83,6 +87,7 @@ impl<'a> ExEa<'a> {
             relation_alignment,
             target_rules,
             predictions,
+            state,
             batch: BatchOptions::default(),
             candidates,
         }
@@ -112,11 +117,6 @@ impl<'a> ExEa<'a> {
     pub fn with_batch_options(mut self, options: BatchOptions) -> Self {
         self.batch = options;
         self
-    }
-
-    /// Replaces the batch-execution options in place.
-    pub fn set_batch_options(&mut self, options: BatchOptions) {
-        self.batch = options;
     }
 
     /// The KG pair the framework operates on.
@@ -150,11 +150,9 @@ impl<'a> ExEa<'a> {
     }
 
     /// The alignment state explanations should be generated against: the
-    /// model predictions plus the seed alignment.
-    pub fn default_alignment_state(&self) -> AlignmentSet {
-        let mut state = self.predictions.clone();
-        state.extend_from(&self.pair.seed);
-        state
+    /// model predictions plus the seed alignment, built once at construction.
+    pub fn default_alignment_state(&self) -> &AlignmentSet {
+        &self.state
     }
 
     /// Number of candidate triples (within the configured hop count around
@@ -194,7 +192,7 @@ impl<'a> ExEa<'a> {
     /// Generates the explanation for the pair `(e1, e2)` under the default
     /// alignment state (predictions plus seed).
     pub fn explain(&self, e1: EntityId, e2: EntityId) -> Explanation {
-        self.explain_with_state(e1, e2, &self.default_alignment_state())
+        self.explain_with_state(e1, e2, &self.state)
     }
 
     /// Builds the ADG for an explanation. When `apply_relation_conflicts` is
@@ -272,8 +270,7 @@ impl<'a> ExEa<'a> {
     /// Convenience: explanation plus ADG (with relation-conflict adjustment)
     /// for a pair under the default state.
     pub fn explain_and_score(&self, e1: EntityId, e2: EntityId) -> (Explanation, Adg) {
-        let state = self.default_alignment_state();
-        let explanation = self.explain_with_state(e1, e2, &state);
+        let explanation = self.explain_with_state(e1, e2, &self.state);
         let adg = self.adg(&explanation, true);
         (explanation, adg)
     }
@@ -376,8 +373,8 @@ mod tests {
         let exea = ExEa::new(&pair, &trained, ExeaConfig::default());
         let state = exea.default_alignment_state();
         let p = pair.reference.iter().next().unwrap();
-        let via_helper = exea.confidence_with_state(p.source, p.target, &state, false);
-        let explanation = exea.explain_with_state(p.source, p.target, &state);
+        let via_helper = exea.confidence_with_state(p.source, p.target, state, false);
+        let explanation = exea.explain_with_state(p.source, p.target, state);
         let via_pipeline = exea.adg(&explanation, false).confidence();
         assert!((via_helper - via_pipeline).abs() < 1e-12);
     }
@@ -399,7 +396,7 @@ mod tests {
         let exea = ExEa::new(&pair, &trained, ExeaConfig::default());
         for p in pair.reference.iter().take(40) {
             let state = exea.default_alignment_state();
-            let explanation = exea.explain_with_state(p.source, p.target, &state);
+            let explanation = exea.explain_with_state(p.source, p.target, state);
             let plain = exea.adg(&explanation, false).confidence();
             let adjusted = exea.adg(&explanation, true).confidence();
             assert!(adjusted <= plain + 1e-9);

@@ -33,7 +33,7 @@
 //! sequential loop it replaces. The repair loops ([`repair`]) and
 //! [`verification::verify_pairs`] consume these batch entry points instead
 //! of re-explaining pairs one by one; tune or disable the parallelism with
-//! [`ExEa::set_batch_options`] and [`pipeline::BatchOptions`].
+//! [`ExEa::with_batch_options`] and [`pipeline::BatchOptions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

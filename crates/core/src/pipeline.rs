@@ -137,7 +137,7 @@ impl ConfidenceMap {
 impl<'a> ExEa<'a> {
     /// Order-preserving batch runner: maps `f` over `items`, in parallel
     /// when the options and batch size allow it.
-    fn run_batch<T, R, F>(&self, items: &[T], options: &BatchOptions, f: F) -> Vec<R>
+    pub(crate) fn run_batch<T, R, F>(&self, items: &[T], options: &BatchOptions, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -200,14 +200,9 @@ impl<'a> ExEa<'a> {
     /// adjustment — the batched counterpart of calling
     /// [`ExEa::explain_and_score`] for each prediction.
     pub fn explain_all(&self) -> Vec<ScoredExplanation> {
-        self.explain_all_with(self.batch_options())
-    }
-
-    /// [`ExEa::explain_all`] with explicit batch options.
-    pub fn explain_all_with(&self, options: &BatchOptions) -> Vec<ScoredExplanation> {
         let pairs: Vec<AlignmentPair> = self.predictions().iter().collect();
         let state = self.default_alignment_state();
-        self.explain_and_score_batch(&pairs, &state, true, options)
+        self.explain_and_score_batch(&pairs, state, true, self.batch_options())
     }
 
     /// Batched confidence map over every model prediction: a deterministic
@@ -215,7 +210,7 @@ impl<'a> ExEa<'a> {
     pub fn confidence_map(&self) -> ConfidenceMap {
         let pairs: Vec<AlignmentPair> = self.predictions().iter().collect();
         let state = self.default_alignment_state();
-        let scores = self.score_batch(&pairs, &state, true, self.batch_options());
+        let scores = self.score_batch(&pairs, state, true, self.batch_options());
         ConfidenceMap::from_scores(&scores)
     }
 }

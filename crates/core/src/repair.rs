@@ -132,9 +132,15 @@ pub struct RepairOutcome {
 
 impl<'a> ExEa<'a> {
     /// Runs the full repair pipeline on the model's predictions.
+    ///
+    /// The working set is the scoring state itself: `work` starts as one
+    /// clone of the default alignment state (predictions plus seed), every
+    /// resolver edits it in place and scores explanations against it, and
+    /// the seed pairs are stripped before the outcome is returned. Seed and
+    /// test sources are disjoint, so no edit ever touches a seed pair.
     pub fn repair(&self, config: &RepairConfig) -> RepairOutcome {
-        let pair = self.pair();
-        let predictions = self.predictions().clone();
+        let seed = &self.pair().seed;
+        let predictions = self.predictions();
         let cr1 = config.resolve_relation_conflicts;
         let k = self.config().top_k;
         let mut stats = RepairStats {
@@ -142,9 +148,7 @@ impl<'a> ExEa<'a> {
             ..RepairStats::default()
         };
 
-        // The alignment state used when *scoring* explanations always includes
-        // the seed; the working set `a_star` only holds test-entity pairs.
-        let mut a_star = predictions.clone();
+        let mut work = self.default_alignment_state().clone();
         let mut unaligned: Vec<EntityId> = Vec::new();
 
         // ---- cr2: one-to-many conflicts (Algorithm 1) -------------------
@@ -152,49 +156,43 @@ impl<'a> ExEa<'a> {
             // A prediction that claims a *seed* target entity conflicts with
             // the training alignment (the seed target already has a source):
             // dissolve it up front, exactly like any other one-to-many claim.
-            let seed_conflicts: Vec<AlignmentPair> = a_star
+            for p in predictions
                 .iter()
-                .filter(|p| self.pair().seed.contains_target(p.target))
-                .collect();
-            for p in seed_conflicts {
-                a_star.remove(&p);
+                .filter(|p| seed.contains_target(p.target))
+            {
+                work.remove(&p);
                 unaligned.push(p.source);
             }
-            let (mut still_unaligned, resolved) = self.resolve_one_to_many(&a_star, cr1);
-            a_star = resolved;
-            unaligned.append(&mut still_unaligned);
+            self.resolve_one_to_many(&mut work, &mut unaligned, cr1);
             unaligned.sort();
             unaligned.dedup();
-            self.realign_by_similarity(&mut a_star, &mut unaligned, k, cr1);
+            self.realign_by_similarity(&mut work, &mut unaligned, k, cr1);
         }
 
         // ---- cr3: low-confidence conflicts (Algorithm 2) -----------------
         if config.resolve_low_confidence {
-            self.resolve_low_confidence(&mut a_star, &mut unaligned, k, cr1, &mut stats);
+            self.resolve_low_confidence(&mut work, &mut unaligned, k, cr1, &mut stats);
         }
 
         // ---- final greedy completion -------------------------------------
         stats.greedy_fallback = unaligned.len();
-        self.greedy_completion(&mut a_star, &mut unaligned);
+        self.greedy_completion(&mut work, &mut unaligned);
 
-        stats.changed_pairs = pair
+        for s in seed.sources() {
+            work.remove_source(s);
+        }
+        stats.changed_pairs = self
+            .pair()
             .reference
             .sources()
             .iter()
-            .filter(|&&s| a_star.target_of(s) != predictions.target_of(s))
+            .filter(|&&s| work.target_of(s) != predictions.target_of(s))
             .count();
 
         RepairOutcome {
-            repaired: a_star,
+            repaired: work,
             stats,
         }
-    }
-
-    /// Scoring state: the current working alignment plus the seed.
-    fn scoring_state(&self, a_star: &AlignmentSet) -> AlignmentSet {
-        let mut state = a_star.clone();
-        state.extend_from(&self.pair().seed);
-        state
     }
 
     /// Combined alignment score used by the repair decisions: explanation
@@ -206,58 +204,37 @@ impl<'a> ExEa<'a> {
             + self.config().alpha * self.trained().entity_similarity(e1, e2) as f64
     }
 
-    /// Batched [`ExEa::alignment_score`] over many pairs under one state:
-    /// the explanation confidences come from a parallel batch (input order
-    /// preserved, so the scores are bit-identical to the per-pair loop).
-    fn alignment_score_batch(
-        &self,
-        pairs: &[AlignmentPair],
-        state: &AlignmentSet,
-        cr1: bool,
-    ) -> Vec<f64> {
-        self.score_batch(pairs, state, cr1, self.batch_options())
-            .into_iter()
-            .map(|s| {
-                s.confidence
-                    + self.config().alpha
-                        * self
-                            .trained()
-                            .entity_similarity(s.pair.source, s.pair.target)
-                            as f64
-            })
-            .collect()
-    }
-
     /// `OnetoOne(Atrain, Ares)` of Algorithm 1: for every one-to-many
-    /// conflict keep the claim with the highest explanation confidence.
-    /// Returns the now-unaligned source entities and the one-to-one set.
+    /// conflict keep the claim with the highest alignment score and move the
+    /// losers from `work` to `unaligned`. Targets held only by seed sources
+    /// (a noisy seed can map several sources to one target) are not repair's
+    /// to resolve and are skipped.
     ///
     /// All competing claims across all conflicts are scored in one parallel
-    /// batch instead of explaining each claim on its own.
+    /// batch against `work` before any loser is removed.
     fn resolve_one_to_many(
         &self,
-        predictions: &AlignmentSet,
+        work: &mut AlignmentSet,
+        unaligned: &mut Vec<EntityId>,
         cr1: bool,
-    ) -> (Vec<EntityId>, AlignmentSet) {
-        let state = self.scoring_state(predictions);
-        let mut resolved = predictions.clone();
-        let mut unaligned = Vec::new();
-        let conflicts = predictions.one_to_many_conflicts();
+    ) {
+        let seed = &self.pair().seed;
+        let conflicts: Vec<(EntityId, Vec<EntityId>)> = work
+            .one_to_many_conflicts()
+            .into_iter()
+            .filter(|(target, _)| !seed.contains_target(*target))
+            .collect();
         let claims: Vec<AlignmentPair> = conflicts
             .iter()
             .flat_map(|(target, sources)| sources.iter().map(|&s| AlignmentPair::new(s, *target)))
             .collect();
-        let scores = self.alignment_score_batch(&claims, &state, cr1);
-        let mut cursor = 0usize;
+        let scores = self.run_batch(&claims, self.batch_options(), |p| {
+            self.alignment_score(p.source, p.target, work, cr1)
+        });
+        let mut scores = scores.into_iter();
         for (target, sources) in conflicts {
-            let scored: Vec<(EntityId, f64)> = sources
-                .iter()
-                .map(|&s| {
-                    let conf = scores[cursor];
-                    cursor += 1;
-                    (s, conf)
-                })
-                .collect();
+            let scored: Vec<(EntityId, f64)> =
+                sources.iter().copied().zip(scores.by_ref()).collect();
             // Deterministic winner: (score desc, entity id asc) — equal
             // confidences can no longer make the outcome depend on claim
             // order. A conflict with no claims (should not occur; defensive
@@ -270,20 +247,55 @@ impl<'a> ExEa<'a> {
                 );
                 continue;
             };
-            for &s in &sources {
-                if s != winner {
-                    resolved.remove(&AlignmentPair::new(s, target));
-                    unaligned.push(s);
-                }
+            for s in sources.into_iter().filter(|&s| s != winner) {
+                work.remove(&AlignmentPair::new(s, target));
+                unaligned.push(s);
             }
         }
-        unaligned.sort();
-        (unaligned, resolved)
+    }
+
+    /// The claim walk of Algorithm 1 (lines 5–18) and Algorithm 2 (lines
+    /// 12–20): `e1` takes the first candidate target nobody holds, or the
+    /// first one whose holder it strictly outscores under
+    /// [`ExEa::alignment_score`] against `work`. Each candidate may carry
+    /// `e1`'s score when the caller already computed it. Seed holders are
+    /// never displaced. The displaced holder — or `e1` itself, when no
+    /// candidate could be claimed — goes to `next_round`.
+    fn claim(
+        &self,
+        work: &mut AlignmentSet,
+        e1: EntityId,
+        candidates: impl IntoIterator<Item = (EntityId, Option<f64>)>,
+        cr1: bool,
+        next_round: &mut Vec<EntityId>,
+    ) {
+        let seed = &self.pair().seed;
+        for (e2, score) in candidates {
+            if !work.contains_target(e2) {
+                work.insert(AlignmentPair::new(e1, e2));
+                return;
+            }
+            let holder = work
+                .sources_of(e2)
+                .iter()
+                .copied()
+                .find(|&s| !seed.contains_source(s));
+            let Some(holder) = holder else { continue };
+            let score = score.unwrap_or_else(|| self.alignment_score(e1, e2, work, cr1));
+            let holder_score = self.alignment_score(holder, e2, work, cr1);
+            if ea_embed::order::asc_f64(score, holder_score).is_gt() {
+                work.remove(&AlignmentPair::new(holder, e2));
+                work.insert(AlignmentPair::new(e1, e2));
+                next_round.push(holder);
+                return;
+            }
+        }
+        next_round.push(e1);
     }
 
     /// Lines 2–21 of Algorithm 1: iteratively re-align the unaligned source
     /// entities from their ranked candidate lists, stealing a target from a
-    /// weaker claim when the explanation confidence says so.
+    /// weaker claim when the alignment score says so.
     ///
     /// Candidates come from the cached blocked top-k engine
     /// ([`ExEa::candidate_index`]): O(n·k) storage instead of the dense
@@ -291,50 +303,22 @@ impl<'a> ExEa<'a> {
     /// rather than the linear scans that used to make this loop quadratic.
     fn realign_by_similarity(
         &self,
-        a_star: &mut AlignmentSet,
+        work: &mut AlignmentSet,
         unaligned: &mut Vec<EntityId>,
         k: usize,
         cr1: bool,
     ) {
         let index = self.candidate_index();
-        loop {
-            if unaligned.is_empty() {
-                break;
-            }
+        while !unaligned.is_empty() {
             let last_len = unaligned.len();
             let mut next_round: Vec<EntityId> = Vec::new();
-            let current: Vec<EntityId> = std::mem::take(unaligned);
-            for e1 in current {
-                let Some(row) = index.source_index(e1) else {
-                    next_round.push(e1);
-                    continue;
-                };
-                let mut aligned = false;
-                for rank in 0..k {
-                    let Some(e2) = index.ranked_target(row, rank) else {
-                        break;
-                    };
-                    if !a_star.contains_target(e2) && !self.pair().seed.contains_target(e2) {
-                        a_star.insert(AlignmentPair::new(e1, e2));
-                        aligned = true;
-                        break;
+            for e1 in std::mem::take(unaligned) {
+                match index.source_index(e1) {
+                    Some(row) => {
+                        let ranked = index.candidates(row).take(k).map(|(e2, _)| (e2, None));
+                        self.claim(work, e1, ranked, cr1, &mut next_round);
                     }
-                    // Competing claim: compare alignment scores.
-                    let competitor = a_star.sources_of(e2).first().copied();
-                    let Some(e1_prev) = competitor else { continue };
-                    let state = self.scoring_state(a_star);
-                    let c_new = self.alignment_score(e1, e2, &state, cr1);
-                    let c_old = self.alignment_score(e1_prev, e2, &state, cr1);
-                    if c_new > c_old {
-                        a_star.remove(&AlignmentPair::new(e1_prev, e2));
-                        a_star.insert(AlignmentPair::new(e1, e2));
-                        next_round.push(e1_prev);
-                        aligned = true;
-                        break;
-                    }
-                }
-                if !aligned {
-                    next_round.push(e1);
+                    None => next_round.push(e1),
                 }
             }
             next_round.sort();
@@ -350,29 +334,32 @@ impl<'a> ExEa<'a> {
     /// combined alignment score `confidence + alpha * similarity`.
     fn resolve_low_confidence(
         &self,
-        a_star: &mut AlignmentSet,
+        work: &mut AlignmentSet,
         unaligned: &mut Vec<EntityId>,
         k: usize,
         cr1: bool,
         stats: &mut RepairStats,
     ) {
+        let seed = &self.pair().seed;
         let beta = self.config().beta();
         let mut last_len: Option<usize> = None;
         loop {
             // Detect low-confidence pairs under the current state. The scan
-            // re-scores the whole working alignment, so it runs as one
-            // parallel batch over shared read-only state.
-            let state = self.scoring_state(a_star);
-            let pairs: Vec<AlignmentPair> = a_star.iter().collect();
+            // re-scores every test pair of the working alignment, so it runs
+            // as one parallel batch over shared read-only state.
+            let pairs: Vec<AlignmentPair> = work
+                .iter()
+                .filter(|p| !seed.contains_source(p.source))
+                .collect();
             let low: Vec<AlignmentPair> = self
-                .score_batch(&pairs, &state, cr1, self.batch_options())
+                .score_batch(&pairs, work, cr1, self.batch_options())
                 .into_iter()
                 .filter(|s| !s.has_strong_edges || s.confidence < beta)
                 .map(|s| s.pair)
                 .collect();
             stats.low_confidence_pairs += low.len();
             for p in &low {
-                a_star.remove(p);
+                work.remove(p);
                 unaligned.push(p.source);
             }
             unaligned.sort();
@@ -389,39 +376,16 @@ impl<'a> ExEa<'a> {
             }
 
             // Re-align from candidate lists scored by confidence + similarity.
-            let current: Vec<EntityId> = std::mem::take(unaligned);
             let mut next_round: Vec<EntityId> = Vec::new();
-            for e1 in current {
-                let state = self.scoring_state(a_star);
+            for e1 in std::mem::take(unaligned) {
                 let mut scored: Vec<(EntityId, f64)> = self
-                    .candidate_targets(e1, &state)
+                    .candidate_targets(e1, work)
                     .into_iter()
-                    .map(|e2| (e2, self.alignment_score(e1, e2, &state, cr1)))
+                    .map(|e2| (e2, self.alignment_score(e1, e2, work, cr1)))
                     .collect();
                 select_top_candidates(&mut scored, k);
-
-                let mut aligned = false;
-                for &(e2, score) in scored.iter() {
-                    if !a_star.contains_target(e2) && !self.pair().seed.contains_target(e2) {
-                        a_star.insert(AlignmentPair::new(e1, e2));
-                        aligned = true;
-                        break;
-                    }
-                    let Some(&e1_prev) = a_star.sources_of(e2).first() else {
-                        continue;
-                    };
-                    let score_prev = self.alignment_score(e1_prev, e2, &state, cr1);
-                    if score > score_prev {
-                        a_star.remove(&AlignmentPair::new(e1_prev, e2));
-                        a_star.insert(AlignmentPair::new(e1, e2));
-                        next_round.push(e1_prev);
-                        aligned = true;
-                        break;
-                    }
-                }
-                if !aligned {
-                    next_round.push(e1);
-                }
+                let ranked = scored.into_iter().map(|(e2, score)| (e2, Some(score)));
+                self.claim(work, e1, ranked, cr1, &mut next_round);
             }
             next_round.sort();
             next_round.dedup();
@@ -447,8 +411,9 @@ impl<'a> ExEa<'a> {
     }
 
     /// Final fallback: greedily align still-unaligned source entities with
-    /// unaligned target entities by embedding similarity.
-    fn greedy_completion(&self, a_star: &mut AlignmentSet, unaligned: &mut Vec<EntityId>) {
+    /// unaligned target entities by embedding similarity. A NaN similarity
+    /// ranks below every real one, so it never beats a real candidate.
+    fn greedy_completion(&self, work: &mut AlignmentSet, unaligned: &mut Vec<EntityId>) {
         if unaligned.is_empty() {
             return;
         }
@@ -456,7 +421,7 @@ impl<'a> ExEa<'a> {
             .pair()
             .target
             .entity_ids()
-            .filter(|t| !a_star.contains_target(*t) && !self.pair().seed.contains_target(*t))
+            .filter(|&t| !work.contains_target(t))
             .collect();
         let mut taken: HashSet<EntityId> = HashSet::new();
         for &e1 in unaligned.iter() {
@@ -466,12 +431,12 @@ impl<'a> ExEa<'a> {
                     continue;
                 }
                 let sim = self.trained().entity_similarity(e1, t);
-                if best.is_none_or(|(_, b)| sim > b) {
+                if best.is_none_or(|(_, b)| ea_embed::order::asc_f32(sim, b).is_gt()) {
                     best = Some((t, sim));
                 }
             }
             if let Some((t, _)) = best {
-                a_star.insert(AlignmentPair::new(e1, t));
+                work.insert(AlignmentPair::new(e1, t));
                 taken.insert(t);
             }
         }
@@ -484,6 +449,7 @@ mod tests {
     use super::*;
     use crate::config::ExeaConfig;
     use ea_data::datasets::{load, DatasetName, DatasetScale};
+    use ea_graph::KgSide;
     use ea_models::{build_model, ModelKind, TrainConfig, TrainedAlignment};
 
     fn setup(kind: ModelKind) -> (ea_graph::KgPair, TrainedAlignment) {
@@ -600,6 +566,38 @@ mod tests {
         let all_nan = vec![(e(5), f64::NAN), (e(4), f64::NAN)];
         assert_eq!(conflict_winner(&all_nan), Some(e(4)));
         assert_eq!(conflict_winner(&[]), None);
+    }
+
+    #[test]
+    fn greedy_completion_never_picks_a_nan_similarity() {
+        let (pair, trained) = setup(ModelKind::GcnAlign);
+        // Every target id below `nan_target` is a seed target, so once it is
+        // free it is the first target greedy completion looks at.
+        let nan_target = pair
+            .target
+            .entity_ids()
+            .find(|&t| !pair.seed.contains_target(t))
+            .unwrap();
+        let mut targets = trained.entities(KgSide::Target).clone();
+        targets.row_mut(nan_target.index()).fill(f32::NAN);
+        let trained = TrainedAlignment::new(
+            trained.model_name(),
+            trained.entities(KgSide::Source).clone(),
+            targets,
+            trained.relations(KgSide::Source).cloned(),
+            trained.relations(KgSide::Target).cloned(),
+        );
+        let exea = ExEa::new(&pair, &trained, ExeaConfig::default());
+        let mut work = exea.default_alignment_state().clone();
+        for s in work.sources_of(nan_target).to_vec() {
+            work.remove_source(s);
+        }
+        let e1 = pair.reference.sources()[0];
+        work.remove_source(e1);
+        exea.greedy_completion(&mut work, &mut vec![e1]);
+        let t = work.target_of(e1).expect("greedy completion aligns e1");
+        assert_ne!(t, nan_target, "a NaN similarity beat every real one");
+        assert!(!trained.entity_similarity(e1, t).is_nan());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn verify_pairs(
     let state = exea.default_alignment_state();
     let beta = exea.config().beta();
     let decisions: Vec<bool> = exea
-        .score_batch(&pairs, &state, true, exea.batch_options())
+        .score_batch(&pairs, state, true, exea.batch_options())
         .into_iter()
         .map(|s| s.has_strong_edges && s.confidence >= beta)
         .collect();
@@ -108,7 +108,7 @@ pub fn verify_top_candidates(exea: &ExEa<'_>, k: usize) -> Vec<(AlignmentPair, b
     }
     let state = exea.default_alignment_state();
     let beta = exea.config().beta();
-    exea.score_batch(&pairs, &state, true, exea.batch_options())
+    exea.score_batch(&pairs, state, true, exea.batch_options())
         .into_iter()
         .map(|s| (s.pair, s.has_strong_edges && s.confidence >= beta))
         .collect()

@@ -49,9 +49,9 @@ fn batch_scores_match_per_pair_api() {
         .with_batch_options(BatchOptions::always_parallel());
     let state = exea.default_alignment_state();
     let pairs: Vec<AlignmentPair> = exea.predictions().iter().take(40).collect();
-    let scores = exea.score_batch(&pairs, &state, true, exea.batch_options());
+    let scores = exea.score_batch(&pairs, state, true, exea.batch_options());
     for (p, s) in pairs.iter().zip(&scores) {
-        let single = exea.confidence_with_state(p.source, p.target, &state, true);
+        let single = exea.confidence_with_state(p.source, p.target, state, true);
         assert_eq!(
             single.to_bits(),
             s.confidence.to_bits(),

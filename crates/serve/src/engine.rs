@@ -43,7 +43,7 @@ use ea_embed::{
     EmbeddingTable, IvfParams, LsmParams, MutableIndex, QuantizedTable, ShardParams, ShardedIndex,
     Sq8Params,
 };
-use ea_graph::{AlignmentPair, AlignmentSet, EntityId, KgPair, KgSide};
+use ea_graph::{AlignmentPair, EntityId, KgPair, KgSide};
 use ea_models::{build_model, ModelKind, TrainConfig, TrainedAlignment};
 use exea_core::{ExEa, ExeaConfig, PairScore, RepairConfig, RepairOutcome, ScoredExplanation};
 use std::sync::{PoisonError, RwLock};
@@ -145,7 +145,6 @@ impl std::fmt::Display for MutateError {
 /// for the live LSM corpus (see the module docs).
 pub struct Engine {
     exea: ExEa<'static>,
-    state: AlignmentSet,
     source_norm: EmbeddingTable,
     target_norm: EmbeddingTable,
     live: RwLock<MutableIndex>,
@@ -180,7 +179,6 @@ impl Engine {
 
         let exea_config = ExeaConfig::default();
         let exea = ExEa::new(pair, trained, exea_config);
-        let state = exea.default_alignment_state();
 
         let source_table = trained.entities(KgSide::Source);
         let target_table = trained.entities(KgSide::Target);
@@ -243,7 +241,6 @@ impl Engine {
 
         Ok(Engine {
             exea,
-            state,
             source_norm,
             target_norm,
             live: RwLock::new(live),
@@ -259,11 +256,6 @@ impl Engine {
     /// The framework (read-only; used by tests for parity checks).
     pub fn exea(&self) -> &ExEa<'static> {
         &self.exea
-    }
-
-    /// The shared default alignment state (predictions + seed).
-    pub fn state(&self) -> &AlignmentSet {
-        &self.state
     }
 
     /// Acceptance threshold β = sigmoid(θ) of the verification rule.
@@ -396,16 +388,18 @@ impl Engine {
     /// pipeline — bit-identical to sequential per-pair calls regardless of
     /// how requests were batched together.
     pub fn explain_batch(&self, pairs: &[AlignmentPair]) -> Vec<ScoredExplanation> {
+        let state = self.exea.default_alignment_state();
         self.exea
-            .explain_and_score_batch(pairs, &self.state, true, self.exea.batch_options())
+            .explain_and_score_batch(pairs, state, true, self.exea.batch_options())
     }
 
     /// Scores a batch of pairs (confidence + strong-edge flag only) — the
     /// verification entry point, order-preserving like
     /// [`Engine::explain_batch`].
     pub fn score_batch(&self, pairs: &[AlignmentPair]) -> Vec<PairScore> {
+        let state = self.exea.default_alignment_state();
         self.exea
-            .score_batch(pairs, &self.state, true, self.exea.batch_options())
+            .score_batch(pairs, state, true, self.exea.batch_options())
     }
 
     /// Runs the full repair pipeline over the model's predictions.
