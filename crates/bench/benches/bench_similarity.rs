@@ -2,14 +2,15 @@
 //! `SimilarityMatrix` reference vs the blocked top-k `CandidateIndex` engine
 //! (build + greedy alignment, CSLS re-scoring, and the cr2-style id-lookup
 //! loop that used to be quadratic), the IVF ANN pre-filter vs the exact scan
-//! at n >= 2000 targets, the register-blocked kernel vs the retired
-//! one-accumulator scalar dot, and the SQ8 quantized scan vs the exact f32
-//! sweep.
+//! at n >= 2000 targets, the register-blocked and packed-group kernels vs
+//! the retired one-accumulator scalar dot, the hard-negative cache build
+//! (the blocked self-join behind Dual-AMN and AlignE training), and the SQ8
+//! quantized scan vs the exact f32 sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ea_embed::{
-    kernel, CandidateIndex, CandidateSearch, EmbeddingTable, IvfIndex, IvfParams, QuantizedTable,
-    SimilarityMatrix, Sq8Params,
+    kernel, CandidateIndex, CandidateSearch, EmbeddingTable, HardNegativeCache, IvfIndex,
+    IvfParams, QuantizedTable, SimilarityMatrix, Sq8Params,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;
@@ -178,8 +179,10 @@ fn kernel_scale_tables() -> (EmbeddingTable, EmbeddingTable) {
     (s.gather_normalized(&s_rows), t.gather_normalized(&t_rows))
 }
 
-/// Register-blocked kernel vs the retired scalar dot: the full exact scoring
-/// sweep (every query row against the whole corpus) at 1400x2200, d=100.
+/// Register-blocked kernel vs the retired scalar dot, and the row-major 1×4
+/// scan vs the packed 1×8 scan (packing included, as `blocked_topk` pays it
+/// once per pass): the full exact scoring sweep (every query row against the
+/// whole corpus) at 1400x2200, d=100.
 fn bench_kernel(c: &mut Criterion) {
     let (s, t) = kernel_scale_tables();
     let (n_s, n_t, dim) = (s.rows(), t.rows(), t.dim());
@@ -207,6 +210,32 @@ fn bench_kernel(c: &mut Criterion) {
             }
             black_box(acc)
         })
+    });
+    group.bench_function("packed_scan_1400x2200_d100", |b| {
+        let mut out = vec![0.0f32; n_t];
+        b.iter(|| {
+            let packed = kernel::pack_panel(t.data(), dim);
+            let mut acc = 0.0f32;
+            for i in 0..n_s {
+                kernel::scan_packed(s.row(i), t.data(), &packed, dim, 0..n_t, &mut out);
+                acc += black_box(&out)[0];
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
+/// The hard-negative cache build Dual-AMN and AlignE repeat during training:
+/// one blocked self-join of a 2200×64 table (the bench-scale entity count
+/// and embedding width), k = 10.
+fn bench_hard_negatives(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(29);
+    let table = EmbeddingTable::xavier(2200, 64, &mut rng);
+    let mut group = c.benchmark_group("hard_negatives");
+    group.sample_size(10);
+    group.bench_function("hard_negative_build_2200x64", |b| {
+        b.iter(|| black_box(HardNegativeCache::build(&table, 10, table.rows(), 0.0)))
     });
     group.finish();
 }
@@ -265,6 +294,7 @@ criterion_group!(
     bench_cr2_lookup_loop,
     bench_ann_prefilter,
     bench_kernel,
+    bench_hard_negatives,
     bench_sq8
 );
 criterion_main!(benches);

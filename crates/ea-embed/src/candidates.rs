@@ -7,18 +7,26 @@
 //! computes the same similarities in cache-friendly tiles fanned out over the
 //! rayon pool, but keeps only a bounded per-source top-k candidate list
 //! (binary-heap selection), so peak candidate storage — including every
-//! transient block buffer — is O(n·k). Consumers that need the per-target
-//! *reverse* neighbourhoods (CSLS, mutual-nearest-neighbour mining) opt in
-//! with [`CandidateIndex::compute_bidirectional`], which runs a second,
-//! transposed blocked pass: still O(n·k) peak memory, at twice the dot-product
-//! work. `dot(a, b)` and `dot(b, a)` multiply and accumulate the same values
-//! in the same lane order, so the transposed pass is bit-identical to reading
-//! the forward scores.
+//! transient block buffer — is O(n·k), beside the O(n·d) normalised rows and
+//! the one packed copy of the corpus the scan reads. Consumers that need the
+//! per-target *reverse* neighbourhoods (CSLS, mutual-nearest-neighbour
+//! mining) opt in with [`CandidateIndex::compute_bidirectional`], which runs
+//! a second, transposed blocked pass: still O(n·k) peak memory, at twice the
+//! dot-product work. `dot(a, b)` and `dot(b, a)` multiply and accumulate the
+//! same values in the same lane order, so the transposed pass is
+//! bit-identical to reading the forward scores.
+//!
+//! **Scan.** The corpus is packed once per pass into element-major groups of
+//! [`kernel::GROUP`] rows ([`kernel::pack_panel`]); every query row of a
+//! block streams column tiles of that packed copy through
+//! [`kernel::scan_packed`], and tiles need not be group-aligned.
 //!
 //! **Determinism contract.** Embedding rows are normalised once
 //! ([`EmbeddingTable::gather_normalized`]) and every similarity is the same
-//! register-blocked [`crate::kernel`] dot product (clamped to `[-1, 1]`) the
-//! dense reference computes, so scores are bit-identical. Candidates are ordered by the canonical
+//! [`crate::kernel`] dot product (clamped to `[-1, 1]`) the dense reference
+//! computes — same lane assignment, same combine, whether it comes from the
+//! packed scan here or the row-major scan there — so scores are
+//! bit-identical. Candidates are ordered by the canonical
 //! `(score desc, column asc)` total order — exactly what the dense stable
 //! descending sort produces — and parallel blocks are merged in input order,
 //! so the engine returns the same top-k lists and the same greedy alignment
@@ -52,14 +60,16 @@ pub(crate) const DEFAULT_COL_TILE: usize = 256;
 
 /// Scans one block of query rows against the whole corpus in column tiles,
 /// keeping the per-row top-`cap` candidates under the canonical
-/// `(score desc, column asc)` order. `score(row, col, dot)` turns the
-/// kernel's raw dot product of query `row` and corpus `col` into the ranked
-/// score. Pure function of its inputs: block results are identical however
-/// blocks are scheduled. Output is the flattened best-first lists, exactly
+/// `(score desc, column asc)` order. `packed` is the corpus's
+/// [`kernel::pack_panel`]. `score(row, col, dot)` turns the kernel's raw dot
+/// product of query `row` and corpus `col` into the ranked score. Pure
+/// function of its inputs: block results are identical however blocks are
+/// scheduled. Output is the flattened best-first lists, exactly
 /// `cap.min(corpus.rows())` entries per block row.
 fn process_block(
     queries: &EmbeddingTable,
     corpus: &EmbeddingTable,
+    packed: &[f32],
     rows: Range<usize>,
     cap: usize,
     col_tile: usize,
@@ -73,12 +83,18 @@ fn process_block(
     while tile_start < n_c {
         let tile_end = (tile_start + col_tile).min(n_c);
         let tile_len = tile_end - tile_start;
-        // One contiguous panel per tile; the register-blocked kernel streams
-        // it once per block row. Each dot is bit-identical to the per-pair
+        // The tile's packed groups stay cache-hot while every block row
+        // scans them. Each dot is bit-identical to the per-pair
         // `kernel::dot` of the same rows.
-        let panel = &corpus.data()[tile_start * dim..tile_end * dim];
         for (slot, i) in rows.clone().enumerate() {
-            kernel::scan_block(queries.row(i), panel, dim, &mut dots[..tile_len]);
+            kernel::scan_packed(
+                queries.row(i),
+                corpus.data(),
+                packed,
+                dim,
+                tile_start..tile_end,
+                &mut dots[..tile_len],
+            );
             for (off, &dot) in dots[..tile_len].iter().enumerate() {
                 let col = tile_start + off;
                 select[slot].push(score(i, col, dot), col as u32);
@@ -96,8 +112,10 @@ fn process_block(
 /// Fans query-row blocks over the rayon pool and concatenates the block
 /// results in input order: the flattened top-`cap` lists of every query row
 /// against the corpus, ranked by `score(row, col, dot)` (see
-/// [`process_block`]). Peak transient memory is the block outputs themselves
-/// — O(queries · cap).
+/// [`process_block`]). The corpus is packed once per call
+/// ([`kernel::pack_panel`]) and shared by every block. Peak transient memory
+/// is that one packed copy of the corpus plus the block outputs —
+/// O(corpus + queries · cap).
 pub(crate) fn blocked_topk(
     queries: &EmbeddingTable,
     corpus: &EmbeddingTable,
@@ -107,6 +125,7 @@ pub(crate) fn blocked_topk(
     score: impl Fn(usize, usize, f32) -> f32 + Sync,
 ) -> Vec<Ranked> {
     let n_q = queries.rows();
+    let packed = kernel::pack_panel(corpus.data(), corpus.dim());
     let block_starts: Vec<usize> = (0..n_q).step_by(row_tile).collect();
     let blocks: Vec<Vec<Ranked>> = block_starts
         .par_iter()
@@ -114,6 +133,7 @@ pub(crate) fn blocked_topk(
             process_block(
                 queries,
                 corpus,
+                &packed,
                 start..(start + row_tile).min(n_q),
                 cap,
                 col_tile,

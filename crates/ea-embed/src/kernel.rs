@@ -14,46 +14,64 @@
 //!   accumulators** (lane `l` sums elements `l, l+4, l+8, …`), combined as
 //!   `(acc0 + acc1) + (acc2 + acc3)`. The independent chains remove the
 //!   loop-carried dependency so the compiler emits vectorized FMAs.
-//! * [`dot_1xr`] — the register block: one query row against up to
-//!   [`BLOCK`] corpus rows at once. Each output row keeps its own four
-//!   accumulator lanes in exactly the same lane assignment as [`dot`], so
-//!   every entry is **bit-identical** to `dot(q, row)` — while each loaded
-//!   query chunk is reused across all R rows (R-fold fewer query loads, R
-//!   independent FMA streams).
-//! * [`scan_block`] / [`scan_gather`] — the scan drivers: score one query
-//!   against a contiguous row-major panel (cache-streamed corpus tiles,
-//!   centroid tables) or against gathered row indexes (IVF inverted lists,
-//!   SQ8 re-rank candidates), processing [`BLOCK`] rows per step and the
-//!   remainder through [`dot`].
+//! * [`scan_block`] / [`scan_gather`] — the row-major scan drivers: score
+//!   one query against a contiguous row-major panel (centroid tables, the
+//!   dense reference, flat list scans) or against gathered row indexes (IVF
+//!   inverted lists, SQ8 re-rank candidates) through a 1×[`BLOCK`] register
+//!   block, the remainder through [`dot`].
+//! * [`pack_panel`] / [`scan_packed`] — the packed scan the blocked exact
+//!   top-k passes use (the [`crate::CandidateIndex`] engine, the `Exact`
+//!   one-shot pass and the hard-negative self-join). The corpus is packed
+//!   once per pass into element-major groups of [`GROUP`] rows, and each
+//!   query is scored against a whole group by a 1×[`GROUP`] kernel.
+//!
+//! **Why pack.** The 1×4 block of [`scan_block`] vectorises *across rows*:
+//! one SIMD lane per corpus row. A row-major panel stores each row's
+//! elements contiguously, so every 4-element chunk of four rows has to be
+//! transposed with shuffles before it can be multiplied — about ten
+//! shuffle instructions per four multiplies. In a packed group, element `e`
+//! of all [`GROUP`] rows sits in one contiguous run, so the kernel loads it
+//! as is, multiplies it by the broadcast `q[e]` and adds it into lane
+//! `e % LANES` of the eight row accumulators: plain loads, no shuffles.
+//! Packing costs one pass over the corpus and one copy of it, made once per
+//! top-k pass and reused by every query (Goto & van de Geijn, "Anatomy of
+//! High-Performance Matrix Multiplication", ACM TOMS 2008).
 //!
 //! **Determinism contract.** For a given `(query, row)` pair every entry
 //! produced by any function in this module is bit-identical to [`dot`] on
-//! that pair: the lane assignment — not the call shape — fixes the summation
-//! order. The dense reference, the blocked engine, the IVF pre-filter and
-//! the SQ8 re-rank therefore keep scoring bit-identically to *each other*
-//! (the invariant the property suites pin) even though the summation order
-//! differs from the retired one-accumulator kernel.
-//! `crates/ea-embed/tests/prop_kernel.rs` pins [`scan_block`]/[`scan_gather`]
-//! against the per-pair reference loop for every remainder `rows % BLOCK`
-//! and odd dimension.
+//! that pair: the lane assignment — not the call shape or the memory layout
+//! — fixes the summation order. The dense reference (row-major
+//! [`scan_block`]), the blocked engine (packed [`scan_packed`]), the IVF
+//! pre-filter and the SQ8 re-rank therefore keep scoring bit-identically to
+//! *each other* (the invariant the property suites pin), through two
+//! independent scan paths. `crates/ea-embed/tests/prop_kernel.rs` pins every
+//! scan against the per-pair reference loop for every remainder
+//! `rows % BLOCK` and `rows % GROUP`, odd and zero dimensions and, for
+//! [`scan_packed`], every sub-range of rows.
 //!
 //! The functions take raw `&[f32]` panels (`EmbeddingTable::data()`) rather
 //! than table types so the kernel stays a leaf module usable from scans,
 //! quantized re-ranking and tests alike.
 
+use std::ops::Range;
+
 /// Number of independent accumulator lanes inside the per-pair dot.
 pub const LANES: usize = 4;
 
-/// Corpus rows scored per register block by [`dot_1xr`] and the scans.
+/// Corpus rows scored per register block by [`scan_block`] and
+/// [`scan_gather`].
 pub const BLOCK: usize = 4;
+
+/// Corpus rows per element-major group of a packed panel ([`pack_panel`]).
+pub const GROUP: usize = 8;
 
 /// Dot product with [`LANES`] unrolled independent accumulators.
 ///
 /// Lane `l` accumulates elements `l, l + LANES, l + 2·LANES, …` (the
 /// remainder elements continue the same pattern), and the lanes are combined
 /// pairwise: `(acc0 + acc1) + (acc2 + acc3)`. This is the **uniform
-/// summation order** every similarity in the workspace uses; [`dot_1xr`] and
-/// the scans reproduce it bit for bit.
+/// summation order** every similarity in the workspace uses; the register
+/// blocks and the scans reproduce it bit for bit.
 ///
 /// # Panics
 /// Panics in debug builds if the lengths differ.
@@ -117,35 +135,12 @@ fn dot_1x4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; B
     ]
 }
 
-/// Scores one query row against `rows` (any count, including a partial
-/// block), writing `dot(q, rows[i])` into `out[i]`. Full [`BLOCK`]-row
-/// groups go through the register block; the `rows.len() % BLOCK` remainder
-/// falls back to [`dot`] — bit-identical either way.
-///
-/// # Panics
-/// Panics in debug builds if `out` is shorter than `rows` or any row length
-/// differs from the query's.
-#[inline]
-pub fn dot_1xr(q: &[f32], rows: &[&[f32]], out: &mut [f32]) {
-    debug_assert!(out.len() >= rows.len());
-    let mut blocks = rows.chunks_exact(BLOCK);
-    let mut j = 0;
-    for block in &mut blocks {
-        let scores = dot_1x4(q, block[0], block[1], block[2], block[3]);
-        out[j..j + BLOCK].copy_from_slice(&scores);
-        j += BLOCK;
-    }
-    for row in blocks.remainder() {
-        out[j] = dot(q, row);
-        j += 1;
-    }
-}
-
 /// Scores one query row against a contiguous row-major panel of
 /// `out.len()` rows of dimension `dim`, writing `dot(q, panel_row_j)` into
-/// `out[j]`. This is the streaming form the cache-tiled scans use: the
-/// panel is read front to back exactly once, [`BLOCK`] rows per register
-/// block.
+/// `out[j]`. This is the streaming form for panels scanned without a packed
+/// copy (the dense reference, centroid tables, flat list and staged-row
+/// scans): the panel is read front to back exactly once, [`BLOCK`] rows per
+/// register block.
 ///
 /// # Panics
 /// Panics in debug builds if `panel.len() != out.len() * dim` or
@@ -210,6 +205,108 @@ pub fn scan_gather(q: &[f32], data: &[f32], dim: usize, rows: &[u32], out: &mut 
     }
 }
 
+/// Packs the full [`GROUP`]-row groups of a row-major table (`dim` columns)
+/// into element-major order: row `g·GROUP + r`, element `e` lands at
+/// `(g·dim + e)·GROUP + r`, so each group is `dim` runs of [`GROUP`]
+/// contiguous values. The trailing `rows % GROUP` rows are not packed —
+/// [`scan_packed`] scores them from the row-major table. The result has
+/// `(rows / GROUP) · dim · GROUP` entries.
+///
+/// # Panics
+/// Panics in debug builds if `data.len()` is not a multiple of `dim`.
+pub fn pack_panel(data: &[f32], dim: usize) -> Vec<f32> {
+    if dim == 0 {
+        return Vec::new();
+    }
+    debug_assert_eq!(data.len() % dim, 0);
+    let groups = data.len() / dim / GROUP;
+    let mut packed = vec![0.0f32; groups * dim * GROUP];
+    for (g, group) in packed.chunks_exact_mut(dim * GROUP).enumerate() {
+        let rows = &data[g * GROUP * dim..(g + 1) * GROUP * dim];
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            for (e, &x) in row.iter().enumerate() {
+                group[e * GROUP + r] = x;
+            }
+        }
+    }
+    packed
+}
+
+/// The 1×[`GROUP`] packed kernel: `q` against one element-major group (see
+/// [`pack_panel`]), each output bit-identical to [`dot`] of that pair.
+/// `acc[l][r]` accumulates element `e` of row `r` for every `e ≡ l`
+/// (mod [`LANES`]) — the lane assignment of [`dot`] — and the lanes are
+/// combined in [`dot`]'s order. Element `e` of the eight rows is one
+/// contiguous run, so it is a plain load multiplied by the broadcast
+/// `q[e]`.
+#[inline]
+fn dot_1x8(q: &[f32], group: &[f32]) -> [f32; GROUP] {
+    debug_assert_eq!(group.len(), q.len() * GROUP);
+    let mut acc = [[0.0f32; GROUP]; LANES];
+    let mut qc = q.chunks_exact(LANES);
+    let mut gc = group.chunks_exact(LANES * GROUP);
+    for (qs, gs) in (&mut qc).zip(&mut gc) {
+        for ((lane, &x), run) in acc.iter_mut().zip(qs).zip(gs.chunks_exact(GROUP)) {
+            for (a, &y) in lane.iter_mut().zip(run) {
+                *a += x * y;
+            }
+        }
+    }
+    let tail = gc.remainder().chunks_exact(GROUP);
+    for ((lane, &x), run) in acc.iter_mut().zip(qc.remainder()).zip(tail) {
+        for (a, &y) in lane.iter_mut().zip(run) {
+            *a += x * y;
+        }
+    }
+    let mut out = [0.0f32; GROUP];
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = combine([acc[0][r], acc[1][r], acc[2][r], acc[3][r]]);
+    }
+    out
+}
+
+/// Scores one query row against the table rows `rows`, writing
+/// `dot(q, data_row_j)` into `out[j - rows.start]`. `data` is the row-major
+/// table and `packed` its [`pack_panel`]. Every [`GROUP`]-aligned group
+/// inside `rows` goes through the packed 1×[`GROUP`] kernel (indexed by its
+/// absolute group); the partial groups at either end of the range — a range
+/// may start or end anywhere — are scored by [`dot`] on the row-major rows.
+/// Bit-identical to [`dot`] either way.
+///
+/// # Panics
+/// Panics in debug builds if `q.len() != dim` or `out.len() != rows.len()`;
+/// panics if `rows` reaches past `data` or `packed` does not cover its
+/// groups.
+// Kept out of line: inlined into the top-k loop of `process_block`, the
+// SLP vectoriser re-interleaves the packed loads with shuffles and the
+// build runs ~25% slower. A call per (query, tile) costs nothing
+// measurable.
+#[inline(never)]
+pub fn scan_packed(
+    q: &[f32],
+    data: &[f32],
+    packed: &[f32],
+    dim: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(q.len(), dim);
+    debug_assert_eq!(out.len(), rows.len());
+    let start = rows.start;
+    let first_group = start.div_ceil(GROUP);
+    let end_group = (rows.end / GROUP).max(first_group);
+    let head_end = (first_group * GROUP).min(rows.end);
+    let tail_start = (end_group * GROUP).max(head_end);
+    for j in (start..head_end).chain(tail_start..rows.end) {
+        out[j - start] = dot(q, &data[j * dim..(j + 1) * dim]);
+    }
+    let stride = dim * GROUP;
+    for g in first_group..end_group {
+        let scores = dot_1x8(q, &packed[g * stride..(g + 1) * stride]);
+        out[g * GROUP - start..(g + 1) * GROUP - start].copy_from_slice(&scores);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,27 +324,6 @@ mod tests {
         assert_eq!(dot(&a, &b), expected);
         assert_eq!(dot(&[], &[]), 0.0);
         assert_eq!(dot(&[3.0], &[4.0]), 12.0);
-    }
-
-    #[test]
-    fn dot_1xr_lanes_are_bit_identical_to_dot() {
-        for n_rows in 0..=9 {
-            for dim in [0usize, 1, 3, 4, 5, 7, 8, 13] {
-                let q = ramp(dim, 0.3);
-                let rows_data: Vec<Vec<f32>> =
-                    (0..n_rows).map(|r| ramp(dim, 1.7 + r as f32)).collect();
-                let rows: Vec<&[f32]> = rows_data.iter().map(|r| r.as_slice()).collect();
-                let mut out = vec![0.0f32; n_rows];
-                dot_1xr(&q, &rows, &mut out);
-                for (r, row) in rows.iter().enumerate() {
-                    assert_eq!(
-                        out[r].to_bits(),
-                        dot(&q, row).to_bits(),
-                        "rows {n_rows} dim {dim} row {r}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -279,6 +355,28 @@ mod tests {
         for (i, &row) in rows.iter().enumerate() {
             let r = &data[row as usize * dim..(row as usize + 1) * dim];
             assert_eq!(out[i].to_bits(), dot(&q, r).to_bits());
+        }
+    }
+
+    #[test]
+    fn pack_panel_round_trips_the_layout() {
+        for rows in [0usize, 1, 7, 8, 9, 16, 21] {
+            for dim in [0usize, 1, 3, 4, 5] {
+                let data: Vec<f32> = (0..rows * dim).map(|i| i as f32).collect();
+                let packed = pack_panel(&data, dim);
+                let groups = rows / GROUP;
+                assert_eq!(packed.len(), groups * dim * GROUP, "rows {rows} dim {dim}");
+                // Unpacking every group recovers the row-major prefix.
+                let mut unpacked = vec![f32::NAN; groups * GROUP * dim];
+                for g in 0..groups {
+                    for e in 0..dim {
+                        for r in 0..GROUP {
+                            unpacked[(g * GROUP + r) * dim + e] = packed[(g * dim + e) * GROUP + r];
+                        }
+                    }
+                }
+                assert_eq!(unpacked, data[..groups * GROUP * dim]);
+            }
         }
     }
 }

@@ -22,7 +22,8 @@
 //!   kept — bit-identical to the dense reference (pinned by the property
 //!   suite) at a fraction of the memory.
 //! * [`kernel`] — the register-blocked similarity micro-kernel: unrolled
-//!   independent-accumulator dot products and 1×R panel/gather scans. Every
+//!   independent-accumulator dot products, 1×4 row-major panel/gather scans
+//!   and the 1×8 packed-group scan of the blocked top-k passes. Every
 //!   exact similarity in the workspace (dense reference, blocked engine, IVF
 //!   centroid/list scoring, k-means assignment, hard-negative sweeps) runs
 //!   through this one summation order, which is what keeps the engines

@@ -13,8 +13,10 @@
 //!
 //! **Cache build = one blocked self-join.** [`HardNegativeCache::build`] scores
 //! the target table against itself with the same tile loop the exact
-//! [`crate::CandidateIndex`] engine runs: row norms are computed once, every
-//! row block streams [`crate::kernel::scan_block`] column panels into a bounded
+//! [`crate::CandidateIndex`] engine runs: row norms are computed once, the
+//! table is packed once into element-major row groups
+//! ([`crate::kernel::pack_panel`]), every row block streams column tiles of
+//! that packed copy through [`crate::kernel::scan_packed`] into a bounded
 //! [`crate::topk::TopK`] per row, and fixed row blocks fan out over the rayon
 //! pool and are concatenated in input order. Its lists are bit-identical to a
 //! naive per-row scan (`crates/ea-embed/tests/prop_hard_negatives.rs` pins

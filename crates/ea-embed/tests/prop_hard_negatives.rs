@@ -234,3 +234,51 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a (64-bit) over the universe and every row's neighbour list.
+fn neighbors_digest(cache: &HardNegativeCache) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(PRIME);
+        }
+    };
+    feed(&(cache.universe() as u64).to_le_bytes());
+    for i in 0..cache.universe() {
+        for &j in cache.neighbors(i) {
+            feed(&j.to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// Fixed 300×64 table (300 is not a multiple of any scan group width): Xavier
+/// noise with rows 7, 150 and 299 zeroed and rows 41 and 263 exact copies of
+/// rows 40 and 17. The digest was captured before the blocked scan moved to
+/// the packed panel kernel; any scan change must keep every list.
+#[test]
+fn seeded_300x64_build_is_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x00ea_0300);
+    let mut table = EmbeddingTable::xavier(300, 64, &mut rng);
+    for zero in [7, 150, 299] {
+        table.row_mut(zero).fill(0.0);
+    }
+    for (dst, src) in [(41, 40), (263, 17)] {
+        let copy = table.row(src).to_vec();
+        table.row_mut(dst).copy_from_slice(&copy);
+    }
+    let cache = HardNegativeCache::build(&table, 10, 300, 0.0);
+    assert_eq!(
+        cache.neighbors(40)[0],
+        41,
+        "a duplicate is its row's nearest"
+    );
+    let digest = neighbors_digest(&cache);
+    assert_eq!(
+        digest, 0xc92f_757c_9535_4f34,
+        "neighbour digest: {digest:#018x}"
+    );
+}

@@ -2,12 +2,14 @@
 //!
 //! The kernel's whole value rests on one invariant: for a given
 //! `(query, row)` pair, **every** entry point — the per-pair [`kernel::dot`],
-//! the explicit register block [`kernel::dot_1xr`], the contiguous-panel
-//! [`kernel::scan_block`] and the gathered [`kernel::scan_gather`] — produces
-//! the same bits, for every remainder `rows % BLOCK` and every dimension
-//! (odd, below one lane, below one block, zero). That is what lets the dense
-//! reference, the blocked engine, the IVF pre-filter and the SQ8 re-rank all
-//! change summation order *together* and stay bit-identical to each other.
+//! the contiguous-panel [`kernel::scan_block`], the gathered
+//! [`kernel::scan_gather`] and the packed-group [`kernel::scan_packed`] —
+//! produces the same bits, for every remainder `rows % BLOCK` and
+//! `rows % GROUP`, every dimension (odd, below one lane, below one block,
+//! zero) and, for the packed scan, every row sub-range. That is what lets
+//! the dense reference, the blocked engine, the IVF pre-filter and the SQ8
+//! re-rank all change summation order *together* and stay bit-identical to
+//! each other.
 //!
 //! A tolerance check against an f64 reference keeps the unrolled kernel
 //! honest about being a dot product at all, not just self-consistent.
@@ -49,25 +51,6 @@ proptest! {
         }
     }
 
-    /// `dot_1xr` == `dot` per lane for every row-count remainder.
-    #[test]
-    fn dot_1xr_is_bit_identical_to_the_per_pair_kernel(
-        rows in 0usize..11,
-        dim in 0usize..19,
-        flat in proptest::collection::vec(value(), 0..250),
-    ) {
-        let take = |r: usize, d: usize| *flat.get((r * 31 + d) % flat.len().max(1)).unwrap_or(&0.5);
-        let q: Vec<f32> = (0..dim).map(|d| take(997, d)).collect();
-        let rows_data: Vec<Vec<f32>> =
-            (0..rows).map(|r| (0..dim).map(|d| take(r, d)).collect()).collect();
-        let row_refs: Vec<&[f32]> = rows_data.iter().map(|r| r.as_slice()).collect();
-        let mut out = vec![f32::NAN; rows];
-        kernel::dot_1xr(&q, &row_refs, &mut out);
-        for (j, row) in row_refs.iter().enumerate() {
-            prop_assert_eq!(out[j].to_bits(), kernel::dot(&q, row).to_bits());
-        }
-    }
-
     /// `scan_gather` == `dot` on arbitrary (unsorted, duplicated) row lists.
     #[test]
     fn scan_gather_is_bit_identical_on_arbitrary_index_lists(
@@ -100,5 +83,42 @@ proptest! {
         let got = kernel::dot(&a, &b) as f64;
         let tol = 1e-4 * (1.0 + reference.abs());
         prop_assert!((got - reference).abs() <= tol, "{got} vs {reference}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `scan_packed` == `dot` per row, bit for bit, exhaustively over tables
+    /// of 0..=17 rows (every remainder mod GROUP, up to two full groups),
+    /// every dimension below 23 (0, sub-lane and odd dims) and every
+    /// `(tile_start, tile_end)` sub-range of the packed table — ranges that
+    /// start or end mid-group included.
+    #[test]
+    fn scan_packed_is_bit_identical_on_every_sub_range(
+        q_seed in proptest::collection::vec(value(), 22),
+        data in proptest::collection::vec(value(), 1..400),
+    ) {
+        for rows in 0usize..=17 {
+            for dim in 0usize..23 {
+                let q = &q_seed[..dim];
+                let table: Vec<f32> = (0..rows * dim).map(|i| data[i % data.len()]).collect();
+                let packed = kernel::pack_panel(&table, dim);
+                for start in 0..=rows {
+                    for end in start..=rows {
+                        let mut out = vec![f32::NAN; end - start];
+                        kernel::scan_packed(q, &table, &packed, dim, start..end, &mut out);
+                        for (o, j) in out.iter().zip(start..end) {
+                            let row = &table[j * dim..(j + 1) * dim];
+                            prop_assert_eq!(
+                                o.to_bits(),
+                                kernel::dot(q, row).to_bits(),
+                                "rows {} dim {} range {}..{} row {}", rows, dim, start, end, j
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
