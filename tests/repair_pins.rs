@@ -69,6 +69,10 @@ fn stats_digest(stats: &RepairStats) -> u64 {
 type Pins = ([(u64, u64); 4], u64);
 
 fn digests(model: ModelKind, pair: &KgPair) -> Pins {
+    digests_with(model, pair, ExeaConfig::default())
+}
+
+fn digests_with(model: ModelKind, pair: &KgPair, config: ExeaConfig) -> Pins {
     let train = TrainConfig {
         candidate_search: CandidateSearch::Exact,
         ..TrainConfig::fast()
@@ -79,7 +83,7 @@ fn digests(model: ModelKind, pair: &KgPair) -> Pins {
         &trained,
         ExeaConfig {
             candidate_search: CandidateSearch::Exact,
-            ..ExeaConfig::default()
+            ..config
         },
     );
     let repairs = [
@@ -255,5 +259,24 @@ fn gcn_align_dbp_wd_noisy_seed_repair_and_verification_are_pinned() {
             ],
             0x3623_cc8c_3cdf_76d4,
         ),
+    );
+}
+
+#[test]
+fn mtranse_zh_en_second_order_repair_and_verification_are_pinned() {
+    let pair = load(DatasetName::ZhEn, DatasetScale::Small);
+    let got = digests_with(ModelKind::MTransE, &pair, ExeaConfig::second_order());
+    let want: Pins = (
+        [
+            (0x1fe1_7107_be5d_a603, 0x21a4_723c_d90f_5a65),
+            (0xb5d0_888c_3b3a_c0b9, 0xa6e7_9473_ed35_4a38),
+            (0xde4f_4a25_1e1e_2461, 0xb559_5ba4_52eb_b2ed),
+            (0x8dcb_4c3b_2f49_94a4, 0xcf5f_dc87_647d_f349),
+        ],
+        0xf169_57ca_fa6b_0983,
+    );
+    assert_eq!(
+        got, want,
+        "MTransE on ZhEn with second-order explanations: got {got:#018x?}"
     );
 }
