@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_graph::{paths::enumerate_paths, AlignmentPair, BfsScratch, RelationFunctionality};
 use ea_models::{build_model, ModelKind, TrainConfig};
-use exea_core::{BatchOptions, ExEa, ExeaConfig};
+use exea_core::{BatchOptions, ExEa, ExeaConfig, RepairConfig};
 use std::hint::black_box;
 
 fn bench_graph_queries(c: &mut Criterion) {
@@ -106,6 +106,33 @@ fn bench_batch_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Confidence without the explanation: `score_batch` (the matching core fed
+/// straight into the ADG sums) vs `explain_and_score_batch` (explanation and
+/// ADG built per pair) over every prediction, sequentially, plus one default
+/// repair, whose cost is almost all confidence calls.
+fn bench_confidence(c: &mut Criterion) {
+    let pair = load(DatasetName::ZhEn, DatasetScale::Small);
+    let trained = build_model(ModelKind::GcnAlign, TrainConfig::fast()).train(&pair);
+    let exea = ExEa::new(&pair, &trained, ExeaConfig::default())
+        .with_batch_options(BatchOptions::sequential());
+    let pairs: Vec<AlignmentPair> = exea.predictions().iter().collect();
+    let state = exea.default_alignment_state();
+    let sequential = BatchOptions::sequential();
+
+    let mut group = c.benchmark_group("confidence");
+    group.sample_size(10);
+    group.bench_function("score_batch", |b| {
+        b.iter(|| black_box(exea.score_batch(&pairs, state, true, &sequential)))
+    });
+    group.bench_function("explain_and_score_batch", |b| {
+        b.iter(|| black_box(exea.explain_and_score_batch(&pairs, state, true, &sequential)))
+    });
+    group.bench_function("repair_default", |b| {
+        b.iter(|| black_box(exea.repair(&RepairConfig::default())))
+    });
+    group.finish();
+}
+
 fn bench_dataset_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataset_generation");
     group.sample_size(10);
@@ -120,6 +147,7 @@ criterion_group!(
     bench_graph_queries,
     bench_neighbor_iteration,
     bench_batch_pipeline,
+    bench_confidence,
     bench_dataset_generation
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 use crate::config::ExeaConfig;
 use crate::explanation::{Explanation, MatchedPath};
 use ea_embed::vector::sigmoid;
-use ea_graph::{Direction, EntityId, RelationFunctionality, RelationPath};
+use ea_graph::{Direction, EntityId, PathStep, RelationFunctionality, RelationPath};
 use ea_models::TrainedAlignment;
 use std::collections::HashMap;
 
@@ -59,7 +59,8 @@ pub struct Adg {
     /// Edges between the central node and neighbour nodes.
     pub edges: Vec<AdgEdge>,
     confidence: f64,
-    config: ExeaConfig,
+    theta: f64,
+    gamma: f64,
 }
 
 impl Adg {
@@ -103,35 +104,13 @@ impl Adg {
                 });
                 neighbors.len() - 1
             });
-            let kind = classify_edge(&m.source, &m.target);
-            let weight = match kind {
-                EdgeKind::Strong => {
-                    let w1 = direct_path_weight(&m.source, source_functionality);
-                    let w2 = direct_path_weight(&m.target, target_functionality);
-                    w1.min(w2)
-                }
-                EdgeKind::Moderate => {
-                    let (direct, long, direct_func, long_func) = if m.source.is_direct() {
-                        (
-                            &m.source,
-                            &m.target,
-                            source_functionality,
-                            target_functionality,
-                        )
-                    } else {
-                        (
-                            &m.target,
-                            &m.source,
-                            target_functionality,
-                            source_functionality,
-                        )
-                    };
-                    let wd = direct_path_weight(direct, direct_func);
-                    let wl = long_path_weight(long, long_func);
-                    config.alpha * wd.min(wl)
-                }
-                EdgeKind::Weak => config.weak_edge_weight,
-            };
+            let (kind, weight) = edge_rule(
+                &m.source,
+                &m.target,
+                source_functionality,
+                target_functionality,
+                config,
+            );
             edges.push(AdgEdge {
                 neighbor: idx,
                 kind,
@@ -144,7 +123,8 @@ impl Adg {
             neighbors,
             edges,
             confidence: 0.5,
-            config: config.clone(),
+            theta: config.theta,
+            gamma: config.gamma,
         };
         adg.recompute_confidence();
         adg
@@ -212,47 +192,85 @@ impl Adg {
     }
 
     fn recompute_confidence(&mut self) {
-        let cs = self.aggregate(EdgeKind::Strong);
-        let cm = self.aggregate(EdgeKind::Moderate);
-        let cw = self.aggregate(EdgeKind::Weak);
-        // Eq. 9: moderate and weak contributions are only consulted when the
-        // stronger classes are below their thresholds.
-        let mut total = cs;
-        if cs < self.config.theta {
-            total += cm;
-            if cm < self.config.gamma {
-                total += cw;
-            }
+        self.confidence = confidence_from_aggregates(
+            [
+                self.aggregate(EdgeKind::Strong),
+                self.aggregate(EdgeKind::Moderate),
+                self.aggregate(EdgeKind::Weak),
+            ],
+            self.theta,
+            self.gamma,
+        );
+    }
+}
+
+/// Eq. 9 over the three per-class aggregates of Eq. 8, indexed by
+/// `EdgeKind as usize` (strong, moderate, weak): moderate and weak
+/// contributions are only consulted when the stronger classes are below
+/// their thresholds. Both [`Adg`] and `ExEa::score_with_state`
+/// end here, so their confidences agree bit for bit when the aggregates do.
+pub(crate) fn confidence_from_aggregates(sums: [f64; 3], theta: f64, gamma: f64) -> f64 {
+    let [cs, cm, cw] = sums;
+    let mut total = cs;
+    if cs < theta {
+        total += cm;
+        if cm < gamma {
+            total += cw;
         }
-        self.confidence = sigmoid(total);
+    }
+    sigmoid(total)
+}
+
+/// The ADG edge rule (Eqs. 3–7): the kind of the edge a matched path pair
+/// contributes, fixed by the two path lengths, and its weight.
+pub(crate) fn edge_rule(
+    source: &RelationPath,
+    target: &RelationPath,
+    source_functionality: &RelationFunctionality,
+    target_functionality: &RelationFunctionality,
+    config: &ExeaConfig,
+) -> (EdgeKind, f64) {
+    match (source.is_direct(), target.is_direct()) {
+        (true, true) => {
+            let w1 = direct_path_weight(source, source_functionality);
+            let w2 = direct_path_weight(target, target_functionality);
+            (EdgeKind::Strong, w1.min(w2))
+        }
+        (true, false) => {
+            let wd = direct_path_weight(source, source_functionality);
+            let wl = long_path_weight(target, target_functionality);
+            (EdgeKind::Moderate, config.alpha * wd.min(wl))
+        }
+        (false, true) => {
+            let wd = direct_path_weight(target, target_functionality);
+            let wl = long_path_weight(source, source_functionality);
+            (EdgeKind::Moderate, config.alpha * wd.min(wl))
+        }
+        (false, false) => (EdgeKind::Weak, config.weak_edge_weight),
     }
 }
 
-fn classify_edge(p1: &RelationPath, p2: &RelationPath) -> EdgeKind {
-    match (p1.is_direct(), p2.is_direct()) {
-        (true, true) => EdgeKind::Strong,
-        (false, false) => EdgeKind::Weak,
-        _ => EdgeKind::Moderate,
-    }
-}
-
-/// Eqs. 3–4: a direct path leaving the central entity as the head is weighted
-/// by the relation's inverse functionality; a path where the central entity
-/// is the tail is weighted by the functionality.
-fn direct_path_weight(path: &RelationPath, functionality: &RelationFunctionality) -> f64 {
-    let step = &path.steps[0];
+/// Eqs. 3–4 for one step: a step leaving its entity as the head is weighted
+/// by the relation's inverse functionality; a step where the entity is the
+/// tail is weighted by the functionality.
+fn step_weight(step: &PathStep, functionality: &RelationFunctionality) -> f64 {
     match step.direction {
         Direction::Forward => functionality.ifunc(step.relation),
         Direction::Backward => functionality.func(step.relation),
     }
 }
 
+/// Eqs. 3–4: the weight of a direct path is the weight of its one step.
+fn direct_path_weight(path: &RelationPath, functionality: &RelationFunctionality) -> f64 {
+    step_weight(&path.steps[0], functionality)
+}
+
 /// Eq. 6: the weight of a long path is the product of the weights of its
-/// direct segments.
+/// direct segments, one per step.
 fn long_path_weight(path: &RelationPath, functionality: &RelationFunctionality) -> f64 {
-    path.segments()
+    path.steps
         .iter()
-        .map(|segment| direct_path_weight(segment, functionality))
+        .map(|step| step_weight(step, functionality))
         .product()
 }
 

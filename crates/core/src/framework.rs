@@ -1,15 +1,18 @@
 //! The ExEA framework object: caches, explanation and ADG entry points.
 
-use crate::adg::Adg;
+use crate::adg::{confidence_from_aggregates, edge_rule, Adg, EdgeKind};
 use crate::config::ExeaConfig;
-use crate::explanation::{generate_explanation, Explanation};
-use crate::pipeline::BatchOptions;
+use crate::explanation::{
+    explain_sorted, for_each_matched_group, Explanation, PathEmbedder, PathMatch,
+};
+use crate::pipeline::{BatchOptions, PairScore};
 use crate::relation_embed::RelationEmbeddings;
 use crate::rules::{mine_not_same_as_rules, relation_alignment, NotSameAsRules, RelationAlignment};
 use ea_embed::CandidateIndex;
 use ea_graph::paths::enumerate_paths;
 use ea_graph::{
-    AlignmentSet, Direction, EntityId, KgPair, KgSide, RelationFunctionality, RelationPath,
+    AlignmentPair, AlignmentSet, Direction, EntityId, KgPair, KgSide, RelationFunctionality,
+    RelationPath,
 };
 use ea_models::TrainedAlignment;
 
@@ -29,6 +32,8 @@ pub struct ExEa<'a> {
     target_relations: RelationEmbeddings,
     source_functionality: RelationFunctionality,
     target_functionality: RelationFunctionality,
+    /// Relation paths around every entity, stable-sorted by endpoint so the
+    /// matching core finds a neighbour's run by binary search.
     source_paths: Vec<Vec<RelationPath>>,
     target_paths: Vec<Vec<RelationPath>>,
     relation_alignment: RelationAlignment,
@@ -51,15 +56,20 @@ impl<'a> ExEa<'a> {
         let target_relations = RelationEmbeddings::for_side(trained, &pair.target, KgSide::Target);
         let source_functionality = RelationFunctionality::compute(&pair.source);
         let target_functionality = RelationFunctionality::compute(&pair.target);
+        let sorted_paths = |kg, e| {
+            let mut paths = enumerate_paths(kg, e, config.hops);
+            paths.sort_by_key(RelationPath::end);
+            paths
+        };
         let source_paths = pair
             .source
             .entity_ids()
-            .map(|e| enumerate_paths(&pair.source, e, config.hops))
+            .map(|e| sorted_paths(&pair.source, e))
             .collect();
         let target_paths = pair
             .target
             .entity_ids()
-            .map(|e| enumerate_paths(&pair.target, e, config.hops))
+            .map(|e| sorted_paths(&pair.target, e))
             .collect();
         let relation_alignment = relation_alignment(pair, trained);
         let target_rules = mine_not_same_as_rules(&pair.target);
@@ -169,6 +179,10 @@ impl<'a> ExEa<'a> {
                 .len()
     }
 
+    fn path_embedder(&self) -> PathEmbedder<'_> {
+        PathEmbedder::new(self.trained, &self.source_relations, &self.target_relations)
+    }
+
     /// Generates the explanation for the pair `(e1, e2)` under an explicit
     /// alignment state.
     pub fn explain_with_state(
@@ -177,15 +191,13 @@ impl<'a> ExEa<'a> {
         e2: EntityId,
         state: &AlignmentSet,
     ) -> Explanation {
-        generate_explanation(
-            self.trained,
+        explain_sorted(
+            &self.path_embedder(),
             state,
             e1,
             e2,
             &self.source_paths[e1.index()],
             &self.target_paths[e2.index()],
-            &self.source_relations,
-            &self.target_relations,
         )
     }
 
@@ -216,7 +228,67 @@ impl<'a> ExEa<'a> {
         adg
     }
 
+    /// Scores the pair `(e1, e2)` under an explicit alignment state: the ADG
+    /// confidence (Eq. 9) and the strong-edge flag (§IV-C), without building
+    /// the explanation or the ADG.
+    ///
+    /// It runs the same matching core as [`ExEa::explain_with_state`] on this
+    /// thread's reused scratch, and feeds each match straight into the ADG
+    /// edge rule and Eq. 8's per-class sums in the ADG's edge order. With
+    /// `apply_relation_conflicts`, a neighbour pair any of whose matches is a
+    /// relation-alignment conflict contributes nothing — exactly what
+    /// [`Adg::remove_neighbors`] does to that node. The result is bit-identical
+    /// to `explain_with_state` followed by [`ExEa::adg`].
+    pub(crate) fn score_with_state(
+        &self,
+        e1: EntityId,
+        e2: EntityId,
+        state: &AlignmentSet,
+        apply_relation_conflicts: bool,
+    ) -> PairScore {
+        let mut sums = [0.0f64; 3];
+        let mut has_strong_edges = false;
+        for_each_matched_group(
+            &self.path_embedder(),
+            state,
+            (e1, e2),
+            &self.source_paths[e1.index()],
+            &self.target_paths[e2.index()],
+            |sources, targets, matches| {
+                let conflict =
+                    |m: &PathMatch| self.relation_conflict(&sources[m.source], &targets[m.target]);
+                if apply_relation_conflicts && matches.iter().any(conflict) {
+                    return;
+                }
+                let influence = self
+                    .trained
+                    .entity_similarity(sources[0].end(), targets[0].end())
+                    as f64;
+                for m in matches {
+                    let (kind, weight) = edge_rule(
+                        &sources[m.source],
+                        &targets[m.target],
+                        &self.source_functionality,
+                        &self.target_functionality,
+                        &self.config,
+                    );
+                    sums[kind as usize] += weight * influence;
+                    has_strong_edges |= kind == EdgeKind::Strong;
+                }
+            },
+        );
+        PairScore {
+            pair: AlignmentPair::new(e1, e2),
+            confidence: confidence_from_aggregates(sums, self.config.theta, self.config.gamma),
+            has_strong_edges,
+        }
+    }
+
     /// Explanation confidence of a pair under a given alignment state.
+    ///
+    /// Computed from the matching core without building the explanation or
+    /// the ADG, and bit-identical to the confidence of
+    /// [`ExEa::explain_with_state`] followed by [`ExEa::adg`].
     pub fn confidence_with_state(
         &self,
         e1: EntityId,
@@ -224,9 +296,8 @@ impl<'a> ExEa<'a> {
         state: &AlignmentSet,
         apply_relation_conflicts: bool,
     ) -> f64 {
-        let explanation = self.explain_with_state(e1, e2, state);
-        self.adg(&explanation, apply_relation_conflicts)
-            .confidence()
+        self.score_with_state(e1, e2, state, apply_relation_conflicts)
+            .confidence
     }
 
     /// Indexes of ADG neighbour nodes that are in relation-alignment conflict
@@ -237,34 +308,41 @@ impl<'a> ExEa<'a> {
         let mut conflicting = Vec::new();
         for (idx, node) in adg.neighbors.iter().enumerate() {
             let conflict = explanation.matched_paths.iter().any(|m| {
-                if !(m.source.is_direct() && m.target.is_direct()) {
-                    return false;
-                }
-                if m.source.end() != node.source || m.target.end() != node.target {
-                    return false;
-                }
-                // Only the head-sharing rule shape is mined: both central
-                // entities must be the heads of their triples (cross-KG triple
-                // (e2, r1, n1) plus (e2, r2, n2)).
-                if m.source.first_direction() != Direction::Forward
-                    || m.target.first_direction() != Direction::Forward
-                {
-                    return false;
-                }
-                let r1 = m.source.steps[0].relation;
-                let r2 = m.target.steps[0].relation;
-                match self.relation_alignment.target_of(r1) {
-                    // Aligned relations support the match; different relations
-                    // that provably never share objects contradict it.
-                    Some(mapped) => mapped != r2 && self.target_rules.implies_not_same(mapped, r2),
-                    None => false,
-                }
+                m.source.end() == node.source
+                    && m.target.end() == node.target
+                    && self.relation_conflict(&m.source, &m.target)
             });
             if conflict {
                 conflicting.push(idx);
             }
         }
         conflicting
+    }
+
+    /// Whether one matched path pair is a relation-alignment conflict (cr1,
+    /// §IV-A): both paths are direct, and their relations map (through the
+    /// relation alignment) to a relation pair that the target KG's ¬sameAs
+    /// rules declare object-disjoint.
+    fn relation_conflict(&self, source: &RelationPath, target: &RelationPath) -> bool {
+        if !(source.is_direct() && target.is_direct()) {
+            return false;
+        }
+        // Only the head-sharing rule shape is mined: both central entities
+        // must be the heads of their triples (cross-KG triple (e2, r1, n1)
+        // plus (e2, r2, n2)).
+        if source.first_direction() != Direction::Forward
+            || target.first_direction() != Direction::Forward
+        {
+            return false;
+        }
+        let r1 = source.steps[0].relation;
+        let r2 = target.steps[0].relation;
+        match self.relation_alignment.target_of(r1) {
+            // Aligned relations support the match; different relations that
+            // provably never share objects contradict it.
+            Some(mapped) => mapped != r2 && self.target_rules.implies_not_same(mapped, r2),
+            None => false,
+        }
     }
 
     /// Convenience: explanation plus ADG (with relation-conflict adjustment)

@@ -20,7 +20,10 @@
 //!    verification signal ([`verification`], §V-D2).
 //!
 //! The entry point is [`ExEa`], which owns the per-entity caches that make
-//! repeated explanation construction cheap enough for the repair loops.
+//! repeated scoring cheap enough for the repair loops. Repair and
+//! verification read only the ADG confidence, which
+//! [`ExEa::confidence_with_state`] and [`ExEa::score_batch`] compute from the
+//! shared matching core without building the explanation or the ADG.
 //!
 //! # Batch API
 //!
@@ -31,9 +34,10 @@
 //! while sharing the read-only KG/functionality/rule state, and return
 //! results in input order so a parallel run is **bit-identical** to the
 //! sequential loop it replaces. The repair loops ([`repair`]) and
-//! [`verification::verify_pairs`] consume these batch entry points instead
-//! of re-explaining pairs one by one; tune or disable the parallelism with
-//! [`ExEa::with_batch_options`] and [`pipeline::BatchOptions`].
+//! [`verification::verify_pairs`] consume [`ExEa::score_batch`], which
+//! scores without materialising explanations; tune or disable the
+//! parallelism with [`ExEa::with_batch_options`] and
+//! [`pipeline::BatchOptions`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,18 @@
-//! Batched, parallel explanation + ADG construction.
+//! Batched, parallel explanation and scoring.
 //!
-//! Explanation generation dominates ExEA's wall-clock time: every predicted
-//! pair needs a semantic-matching subgraph and an alignment dependency
-//! graph, and the three repair loops re-score whole alignments repeatedly.
-//! All of that work is embarrassingly parallel — each pair only *reads* the
-//! shared KG pair, relation functionalities, cached relation paths and rule
-//! tables — so this module fans it out over a rayon worker pool.
+//! Every predicted pair needs a confidence, and the three repair loops
+//! re-score whole alignments repeatedly. All of that work is embarrassingly
+//! parallel — each pair only *reads* the shared KG pair, relation
+//! functionalities, cached relation paths and rule tables — so this module
+//! fans it out over a rayon worker pool. Two kinds of batch exist:
+//! [`ExEa::explain_and_score_batch`] materialises each pair's explanation and
+//! ADG, for callers that read the subgraph; [`ExEa::score_batch`] returns only
+//! the confidence and the strong-edge flag, computed by the shared matching
+//! core on per-thread scratch without building either.
 //!
-//! **Determinism.** Workers never share mutable state and results are
-//! collected in input order, so a parallel batch is bit-identical to the
-//! sequential loop it replaces (asserted by
+//! **Determinism.** Workers share nothing mutable (each has its own matching
+//! scratch) and results are collected in input order, so a parallel batch is
+//! bit-identical to the sequential loop it replaces (asserted by
 //! `tests/batch_determinism.rs`). Confidence maps built from a batch are
 //! keyed `(source, target)` in a `BTreeMap`, giving a canonical merge order
 //! regardless of worker scheduling.
@@ -79,9 +82,9 @@ impl ScoredExplanation {
     }
 }
 
-/// Lightweight per-pair verdict for callers that only need scores (the
-/// repair loops, verification): confidence plus the strong-edge flag,
-/// without carrying the explanation payload.
+/// Per-pair verdict for callers that only need scores (the repair loops,
+/// verification): confidence plus the strong-edge flag. Produced by
+/// [`ExEa::score_batch`], which never builds the explanation or its ADG.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairScore {
     /// The scored pair.
@@ -175,8 +178,9 @@ impl<'a> ExEa<'a> {
 
     /// Scores every pair in `pairs` under an explicit alignment state,
     /// keeping only confidence and the strong-edge flag. This is the entry
-    /// point the repair loops and verification use: it avoids materialising
-    /// and cloning full explanations for pairs that only need a number.
+    /// point the repair loops and verification use: each pair is scored from
+    /// the shared matching core, so no explanation or ADG is built, and the
+    /// scores are bit-identical to [`ExEa::explain_and_score_batch`]'s.
     pub fn score_batch(
         &self,
         pairs: &[AlignmentPair],
@@ -185,13 +189,7 @@ impl<'a> ExEa<'a> {
         options: &BatchOptions,
     ) -> Vec<PairScore> {
         self.run_batch(pairs, options, |p| {
-            let explanation = self.explain_with_state(p.source, p.target, state);
-            let adg = self.adg(&explanation, apply_relation_conflicts);
-            PairScore {
-                pair: *p,
-                confidence: adg.confidence(),
-                has_strong_edges: adg.has_strong_edges(),
-            }
+            self.score_with_state(p.source, p.target, state, apply_relation_conflicts)
         })
     }
 

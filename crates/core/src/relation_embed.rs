@@ -88,24 +88,34 @@ pub fn path_embedding(
     entities: &EmbeddingTable,
     relations: &RelationEmbeddings,
 ) -> Vec<f32> {
+    let mut out = vec![0.0f32; entities.dim() + relations.dim()];
+    path_embedding_into(path, entities, relations, &mut out);
+    out
+}
+
+/// [`path_embedding`] written into `out`, which must hold
+/// `entities.dim() + relations.dim()` values: the allocation-free form the
+/// matching core runs on reused scratch.
+pub(crate) fn path_embedding_into(
+    path: &RelationPath,
+    entities: &EmbeddingTable,
+    relations: &RelationEmbeddings,
+    out: &mut [f32],
+) {
     let n = path.len() as f32;
-    let dim_e = entities.dim();
-    let dim_r = relations.dim();
+    let (entity_part, relation_part) = out.split_at_mut(entities.dim());
 
-    let mut entity_part = entities.row(path.start.index()).to_vec();
-    for e in path.intermediate_entities() {
-        vector::add_scaled(&mut entity_part, entities.row(e.index()), 1.0);
+    entity_part.copy_from_slice(entities.row(path.start.index()));
+    for step in &path.steps[..path.len() - 1] {
+        vector::add_scaled(entity_part, entities.row(step.entity.index()), 1.0);
     }
-    vector::scale(&mut entity_part, 1.0 / n);
+    vector::scale(entity_part, 1.0 / n);
 
-    let mut relation_part = vec![0.0f32; dim_r];
-    for r in path.relations() {
-        vector::add_scaled(&mut relation_part, relations.get(r), 1.0);
+    relation_part.fill(0.0);
+    for step in &path.steps {
+        vector::add_scaled(relation_part, relations.get(step.relation), 1.0);
     }
-    vector::scale(&mut relation_part, 1.0 / n);
-
-    debug_assert_eq!(entity_part.len(), dim_e);
-    vector::concat(&entity_part, &relation_part)
+    vector::scale(relation_part, 1.0 / n);
 }
 
 #[cfg(test)]

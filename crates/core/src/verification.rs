@@ -61,17 +61,18 @@ impl VerificationOutcome {
 /// ExEA's verification decision for one pair: accept when the explanation
 /// confidence clears the framework's low-confidence threshold `beta`.
 pub fn verify_pair(exea: &ExEa<'_>, pair: &AlignmentPair) -> bool {
-    let (_, adg) = exea.explain_and_score(pair.source, pair.target);
-    adg.has_strong_edges() && adg.confidence() >= exea.config().beta()
+    let state = exea.default_alignment_state();
+    let score = exea.score_with_state(pair.source, pair.target, state, true);
+    score.has_strong_edges && score.confidence >= exea.config().beta()
 }
 
 /// Runs ExEA verification over a labelled set of candidate pairs and reports
 /// precision, recall and F1 (the Table VI protocol: half the pairs correct,
 /// half incorrect).
 ///
-/// All candidates are explained and scored in one parallel batch under the
-/// shared default alignment state; decisions come back in candidate order
-/// and match per-pair [`verify_pair`] calls exactly.
+/// All candidates are scored in one parallel batch under the shared default
+/// alignment state; decisions come back in candidate order and match
+/// per-pair [`verify_pair`] calls exactly.
 pub fn verify_pairs(
     exea: &ExEa<'_>,
     candidates: &[(AlignmentPair, bool)],
@@ -91,8 +92,8 @@ pub fn verify_pairs(
 
 /// Verifies every test source entity's top-`k` candidate targets straight
 /// from the blocked candidate engine ([`ExEa::candidate_index`]): each
-/// `(source, candidate)` pair is explained and scored in one parallel batch
-/// and accepted on the usual strong-edges + `beta` rule.
+/// `(source, candidate)` pair is scored in one parallel batch and accepted
+/// on the usual strong-edges + `beta` rule.
 ///
 /// This is the candidate-generation form of verification the engine makes
 /// affordable at scale — O(n·k) pairs, with `k` capped by the engine's own

@@ -46,6 +46,9 @@ struct Reference<'a> {
     target_functionality: RelationFunctionality,
 }
 
+type PathsByPair<'a> =
+    HashMap<(EntityId, EntityId), (Vec<&'a RelationPath>, Vec<&'a RelationPath>)>;
+
 struct NaiveMatch {
     source: RelationPath,
     target: RelationPath,
@@ -122,8 +125,7 @@ impl<'a> Reference<'a> {
         target_paths: &[RelationPath],
     ) -> NaiveExplanation {
         let trained = self.exea.trained();
-        let mut by_pair: HashMap<(EntityId, EntityId), (Vec<&RelationPath>, Vec<&RelationPath>)> =
-            HashMap::new();
+        let mut by_pair: PathsByPair<'_> = HashMap::new();
         for p in source_paths {
             let n1 = p.end();
             if n1 == e1 {
@@ -495,7 +497,11 @@ fn check_case(
             let (want, want_strong) = reference.score(&naive.matches, cr1);
 
             let single = exea.confidence_with_state(p.source, p.target, &state, cr1);
-            assert_eq!(single.to_bits(), want.to_bits(), "{context}: confidence_with_state");
+            assert_eq!(
+                single.to_bits(),
+                want.to_bits(),
+                "{context}: confidence_with_state"
+            );
             for batch in [s, q] {
                 assert_eq!(batch.pair, *p, "{context}: score_batch order");
                 assert_eq!(
@@ -503,7 +509,10 @@ fn check_case(
                     want.to_bits(),
                     "{context}: score_batch confidence"
                 );
-                assert_eq!(batch.has_strong_edges, want_strong, "{context}: strong flag");
+                assert_eq!(
+                    batch.has_strong_edges, want_strong,
+                    "{context}: strong flag"
+                );
             }
 
             let explanation = exea.explain_with_state(p.source, p.target, &state);
@@ -515,7 +524,8 @@ fn check_case(
             // The public form over arbitrary, unsorted slices.
             let foreign_s = foreign_paths(&mut rng, &pair.source, p.source, hops);
             let foreign_t = foreign_paths(&mut rng, &pair.target, p.target, hops);
-            let naive_foreign = reference.explain(&state, p.source, p.target, &foreign_s, &foreign_t);
+            let naive_foreign =
+                reference.explain(&state, p.source, p.target, &foreign_s, &foreign_t);
             let rel_s = &reference.source_relations;
             let rel_t = &reference.target_relations;
             let foreign = generate_explanation(
@@ -529,7 +539,11 @@ fn check_case(
                 want_foreign.to_bits(),
                 "{context}: foreign adg"
             );
-            assert_eq!(adg.has_strong_edges(), strong_foreign, "{context}: foreign strong");
+            assert_eq!(
+                adg.has_strong_edges(),
+                strong_foreign,
+                "{context}: foreign strong"
+            );
 
             if cr1 {
                 let plain = exea.confidence_with_state(p.source, p.target, &state, false);
@@ -564,17 +578,15 @@ fn fixed_sweep_exercises_cr1_and_multi_hop_paths() {
     let mut total = Coverage::default();
     for (i, hops) in [1usize, 2, 3].into_iter().enumerate() {
         for heterogeneous in [false, true] {
-            let c = check_case(
-                1000 + i as u64,
-                hops,
-                heterogeneous,
-                (i % 3) as u8,
-                i * 4,
-            );
+            let c = check_case(1000 + i as u64, hops, heterogeneous, (i % 3) as u8, i * 4);
             total.cr1_changed += c.cr1_changed;
             total.explained += c.explained;
         }
     }
     assert!(total.cr1_changed > 0, "cr1 never changed a confidence");
-    assert!(total.explained > 20, "too few explained pairs ({})", total.explained);
+    assert!(
+        total.explained > 20,
+        "too few explained pairs ({})",
+        total.explained
+    );
 }

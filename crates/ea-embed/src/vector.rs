@@ -45,8 +45,14 @@ pub fn l1_distance(a: &[f32], b: &[f32]) -> f32 {
 /// that degenerate embeddings never dominate a nearest-neighbour search.
 #[inline]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
+    cosine_with_norms(a, b, norm(a), norm(b))
+}
+
+/// [`cosine`] with the two norms already computed (`na = norm(a)`,
+/// `nb = norm(b)`): bit-identical to it, for callers that compare one
+/// vector against many and derive each norm once.
+#[inline]
+pub fn cosine_with_norms(a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
     if na <= f32::EPSILON || nb <= f32::EPSILON {
         return 0.0;
     }
