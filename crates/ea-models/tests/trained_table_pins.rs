@@ -4,10 +4,15 @@
 //! is rebuilt every few epochs, so any change to how the cache is built or
 //! sampled (neighbour lists, tie-breaks, RNG draws) shows up as different
 //! trained embeddings. These tests hash the exact bits of both trained
-//! entity tables on ZH-EN `Small` with `TrainConfig::fast()` and compare
-//! them against digests recorded before the cache build became a blocked
-//! self-join; a change to either model's training that is meant to be
-//! bit-preserving must keep them.
+//! entity tables on ZH-EN `Small` and compare them against recorded digests;
+//! a change to either model's training that is meant to be bit-preserving
+//! must keep them.
+//!
+//! The `TrainConfig::fast()` pins were recorded before the cache build became
+//! a blocked self-join. The default-config pins cover the schedule the repo
+//! benchmark trains with — more refreshes, Dual-AMN's 64-wide concatenated
+//! table and its post-anchor phase — and were recorded before the cache
+//! started building lists only for the rows training queries.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::{CandidateSearch, EmbeddingTable};
@@ -42,6 +47,14 @@ fn config() -> TrainConfig {
     }
 }
 
+/// `TrainConfig::default()` with the exact candidate engine pinned.
+fn default_config() -> TrainConfig {
+    TrainConfig {
+        candidate_search: CandidateSearch::Exact,
+        ..TrainConfig::default()
+    }
+}
+
 fn digests(model: &dyn EaModel) -> (u64, u64) {
     let pair = load(DatasetName::ZhEn, DatasetScale::Small);
     let trained = model.train(&pair);
@@ -73,6 +86,32 @@ fn aligne_trained_tables_are_pinned() {
     );
     assert_eq!(
         target, 0xde75_cbbe_5d81_f2f8,
+        "target table: {target:#018x}"
+    );
+}
+
+#[test]
+fn dual_amn_default_config_tables_are_pinned() {
+    let (source, target) = digests(&DualAmn::new(default_config()));
+    assert_eq!(
+        source, 0xb2cd_df10_5e6d_1080,
+        "source table: {source:#018x}"
+    );
+    assert_eq!(
+        target, 0x950a_f73d_3fd4_0fb2,
+        "target table: {target:#018x}"
+    );
+}
+
+#[test]
+fn aligne_default_config_tables_are_pinned() {
+    let (source, target) = digests(&AlignE::new(default_config()));
+    assert_eq!(
+        source, 0xc825_e792_ad6f_7988,
+        "source table: {source:#018x}"
+    );
+    assert_eq!(
+        target, 0xd271_0f30_b472_79d8,
         "target table: {target:#018x}"
     );
 }
