@@ -11,18 +11,22 @@
 //!   [`HardNegativeCache`] of nearest-neighbour lists that they rebuild every
 //!   few epochs.
 //!
-//! **Cache build = one blocked self-join.** [`HardNegativeCache::build`] scores
-//! the target table against itself with the same tile loop the exact
+//! **Cache build = the queried rows against the whole universe.**
+//! [`HardNegativeCache::build_for`] gathers the rows a caller will query (for
+//! the two models, the seed pairs' target entities) and scores them against
+//! every row of the universe with the same tile loop the exact
 //! [`crate::CandidateIndex`] engine runs: row norms are computed once, the
-//! table is packed once into element-major row groups
-//! ([`crate::kernel::pack_panel`]), every row block streams column tiles of
+//! universe is packed once into element-major row groups
+//! ([`crate::kernel::pack_panel`]), every query block streams column tiles of
 //! that packed copy through [`crate::kernel::scan_packed`] into a bounded
-//! [`crate::topk::TopK`] per row, and fixed row blocks fan out over the rayon
-//! pool and are concatenated in input order. Its lists are bit-identical to a
-//! naive per-row scan (`crates/ea-embed/tests/prop_hard_negatives.rs` pins
-//! this, `tests/hard_negatives_threads.rs` under `RAYON_NUM_THREADS=8`), so
-//! the trained tables of both models do not depend on the build strategy or
-//! the worker count.
+//! [`crate::topk::TopK`] per query, and fixed query blocks fan out over the
+//! rayon pool and are concatenated in input order.
+//! [`HardNegativeCache::build`] is the same scan with every row queried.
+//! Each listed row is bit-identical to a naive per-row scan
+//! (`crates/ea-embed/tests/prop_hard_negatives.rs` pins this,
+//! `tests/hard_negatives_threads.rs` under `RAYON_NUM_THREADS=8`), so the
+//! trained tables of both models do not depend on the build strategy, the
+//! set of queried rows or the worker count.
 
 use crate::candidates::{blocked_topk, DEFAULT_COL_TILE, DEFAULT_ROW_TILE};
 use crate::embedding::EmbeddingTable;
@@ -92,32 +96,69 @@ impl Negatives for NegativeSampler {
 ///
 /// Scanning the full entity table for nearest neighbours on every sample is
 /// prohibitively slow inside a training loop; the cache computes, once per
-/// refresh, the `k` most similar entities of every entity and then samples
-/// from those lists in O(k) without allocating. Models rebuild the cache
-/// every few epochs so the negatives track the moving embeddings.
+/// refresh, the `k` most similar entities of every row a caller will query
+/// (scanned against the whole universe) and then samples from those lists in
+/// O(k) without allocating. Models rebuild the cache every few epochs so the
+/// negatives track the moving embeddings.
 ///
-/// **Bit-identity contract.** Row `i`'s list is exactly what a naive per-row
-/// scan gives: score every row `j` of `0..universe` by
+/// **Bit-identity contract.** A listed row `i`'s list is exactly what a naive
+/// per-row scan gives: score every row `j` of `0..universe` by
 /// `(dot(i, j) / (‖i‖·‖j‖)).clamp(-1, 1)` (0 when either norm is
 /// ≤ `f32::EPSILON`), sort by `(score desc, j asc)`, keep the first `k + 1`,
 /// drop `i` itself and take `k`. The build computes it as one blocked,
-/// parallel self-join (see the module docs); same dots, same formula, same
-/// strict total order, so the lists match the naive scan whatever the tile
-/// sizes or the worker count. Every row holds `min(k, universe - 1)` entries.
+/// parallel scan of the listed rows against the universe (see the module
+/// docs); same dots, same formula, same strict total order, so the lists
+/// match the naive scan whatever the tile sizes, the set of listed rows or
+/// the worker count. Every listed row holds `min(k, universe - 1)` entries;
+/// every other row has an empty list.
 #[derive(Debug, Clone)]
 pub struct HardNegativeCache {
-    /// Row-major lists, `row_len` entries per row of `0..universe`.
+    /// Row-major lists, `row_len` entries per listed row, in row order.
     neighbors: Vec<u32>,
+    /// Per row of `0..universe`, its slot in `neighbors`, or [`NO_LIST`].
+    slots: Vec<u32>,
     row_len: usize,
     uniform_prob: f64,
     universe: usize,
 }
 
+/// The `slots` entry of a row without a list.
+const NO_LIST: u32 = u32::MAX;
+
 impl HardNegativeCache {
     /// Builds the cache from the current embeddings: for every row in
     /// `0..universe`, the `k` most cosine-similar other rows.
     pub fn build(table: &EmbeddingTable, k: usize, universe: usize, uniform_prob: f64) -> Self {
+        Self::build_for(
+            table,
+            &(0..universe).collect::<Vec<_>>(),
+            k,
+            universe,
+            uniform_prob,
+        )
+    }
+
+    /// Builds lists only for the rows in `positives` (duplicates and rows at
+    /// or past `universe` are ignored): for each, the `k` most
+    /// cosine-similar other rows of `0..universe`, bit-identical to the list
+    /// [`Self::build`] gives it. Every other row gets an empty list, and
+    /// [`Negatives::negative`] draws for it as for a row outside the
+    /// universe.
+    pub fn build_for(
+        table: &EmbeddingTable,
+        positives: &[usize],
+        k: usize,
+        universe: usize,
+        uniform_prob: f64,
+    ) -> Self {
         let universe = universe.min(table.rows());
+        let mut listed: Vec<usize> = positives
+            .iter()
+            .copied()
+            .filter(|&r| r < universe)
+            .collect();
+        listed.sort_unstable();
+        listed.dedup();
         let prefix;
         let rows = if universe == table.rows() {
             table
@@ -126,28 +167,30 @@ impl HardNegativeCache {
             prefix = EmbeddingTable::from_data(universe, table.dim(), data);
             &prefix
         };
+        let data = listed.iter().flat_map(|&r| rows.row(r)).copied().collect();
+        let queries = EmbeddingTable::from_data(listed.len(), rows.dim(), data);
         let norms: Vec<f32> = (0..universe).map(|i| vector::norm(rows.row(i))).collect();
         // Top `k + 1` so that dropping the row itself still leaves `k`.
         let cap = k.saturating_add(1).min(universe);
-        let ranked = blocked_topk(
-            rows,
-            rows,
-            cap,
-            DEFAULT_ROW_TILE,
-            DEFAULT_COL_TILE,
-            |i, j, dot| {
-                let (ni, nj) = (norms[i], norms[j]);
-                if ni <= f32::EPSILON || nj <= f32::EPSILON {
-                    0.0
-                } else {
-                    (dot / (ni * nj)).clamp(-1.0, 1.0)
-                }
-            },
-        );
         let row_len = k.min(universe.saturating_sub(1));
-        let mut neighbors = Vec::with_capacity(universe * row_len);
+        let mut neighbors = Vec::with_capacity(listed.len() * row_len);
         if cap > 0 {
-            for (i, list) in ranked.chunks_exact(cap).enumerate() {
+            let ranked = blocked_topk(
+                &queries,
+                rows,
+                cap,
+                DEFAULT_ROW_TILE,
+                DEFAULT_COL_TILE,
+                |q, j, dot| {
+                    let (ni, nj) = (norms[listed[q]], norms[j]);
+                    if ni <= f32::EPSILON || nj <= f32::EPSILON {
+                        0.0
+                    } else {
+                        (dot / (ni * nj)).clamp(-1.0, 1.0)
+                    }
+                },
+            );
+            for (list, &i) in ranked.chunks_exact(cap).zip(&listed) {
                 let before = neighbors.len();
                 neighbors.extend(
                     list.iter()
@@ -158,8 +201,13 @@ impl HardNegativeCache {
                 debug_assert_eq!(neighbors.len() - before, row_len);
             }
         }
+        let mut slots = vec![NO_LIST; universe];
+        for (slot, &i) in listed.iter().enumerate() {
+            slots[i] = slot as u32;
+        }
         Self {
             neighbors,
+            slots,
             row_len,
             uniform_prob: uniform_prob.clamp(0.0, 1.0),
             universe,
@@ -171,13 +219,21 @@ impl HardNegativeCache {
         self.universe
     }
 
-    /// The hard-negative list of `row` (most similar first); empty for rows
-    /// outside the universe.
-    pub fn neighbors(&self, row: usize) -> &[u32] {
-        if row >= self.universe {
-            return &[];
+    /// The slot of `row`'s list, if it has one.
+    fn slot(&self, row: usize) -> Option<usize> {
+        match self.slots.get(row) {
+            Some(&slot) if slot != NO_LIST => Some(slot as usize),
+            _ => None,
         }
-        &self.neighbors[row * self.row_len..(row + 1) * self.row_len]
+    }
+
+    /// The hard-negative list of `row` (most similar first); empty for rows
+    /// outside the universe and rows the cache was not built for.
+    pub fn neighbors(&self, row: usize) -> &[u32] {
+        match self.slot(row) {
+            Some(slot) => &self.neighbors[slot * self.row_len..(slot + 1) * self.row_len],
+            None => &[],
+        }
     }
 }
 
@@ -192,7 +248,9 @@ impl Negatives for HardNegativeCache {
         if self.universe < 2 {
             return None;
         }
-        if positive < self.universe && !rng.gen_bool(self.uniform_prob) {
+        // A row without a list (outside the universe, or not built for)
+        // takes one uniform draw and no `gen_bool`.
+        if self.slot(positive).is_some() && !rng.gen_bool(self.uniform_prob) {
             // One `gen_range` over the entries other than `exclude`, then
             // pick that entry by position: no per-draw allocation.
             let mut others = self

@@ -1,6 +1,7 @@
 //! Determinism of the hard-negative cache build under a multi-thread rayon
-//! pool: with `RAYON_NUM_THREADS=8` the blocked self-join must return exactly
-//! the naive per-row oracle's lists, and two builds must agree.
+//! pool: with `RAYON_NUM_THREADS=8` the blocked scan must return exactly
+//! the naive per-row oracle's lists, two builds must agree, and a build
+//! restricted to some rows must list exactly those rows' lists.
 //!
 //! This lives in its own integration-test binary so the env var is set
 //! before the rayon shim samples it — on a single-core host the default pool
@@ -62,6 +63,19 @@ fn eight_thread_pool_matches_the_naive_oracle() {
                 cache.neighbors(i),
                 again.neighbors(i),
                 "parallel rebuilds diverged (seed {seed}, row {i})"
+            );
+        }
+
+        // Every third row (spread over several query blocks), a duplicate
+        // and a row past the universe.
+        let positives: Vec<usize> = (0..universe).step_by(3).chain([6, rows]).collect();
+        let restricted = HardNegativeCache::build_for(&table, &positives, k, universe, 0.1);
+        for i in 0..universe {
+            let expected = if i % 3 == 0 { cache.neighbors(i) } else { &[] };
+            assert_eq!(
+                restricted.neighbors(i),
+                expected,
+                "restricted build diverged under 8 threads (seed {seed}, row {i})"
             );
         }
     }

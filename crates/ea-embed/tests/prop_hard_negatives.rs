@@ -7,6 +7,11 @@
 //! dimensions, `k ≥ universe`, a universe smaller than the table and
 //! universes of 0, 1 and 2 rows. The cache's allocation-free draw is pinned
 //! against the collect-then-index draw on the same RNG stream.
+//!
+//! [`HardNegativeCache::build_for`] — the same scan restricted to the rows a
+//! caller queries — is pinned against both: every listed row equals the full
+//! build's list and the oracle's, every other row is empty, and draws
+//! consume the RNG stream exactly as the full build's do.
 
 use ea_embed::{order, vector, EmbeddingTable, HardNegativeCache, Negatives};
 use proptest::prelude::*;
@@ -48,6 +53,59 @@ fn assert_matches_oracle(table: &EmbeddingTable, k: usize, universe: usize) {
         );
     }
     assert!(cache.neighbors(universe).is_empty());
+}
+
+/// Pins `build_for(positives)` to the full build and the oracle: rows of
+/// `positives` inside the universe carry the full build's list (and the
+/// oracle's), every other row is empty; on one seeded RNG stream, draws for
+/// covered positives match the full build's and draws for uncovered ones
+/// match the full build's draws for a positive outside the universe.
+fn assert_build_for_matches(
+    table: &EmbeddingTable,
+    positives: &[usize],
+    k: usize,
+    universe: usize,
+    uniform_prob: f64,
+    rng_seed: u64,
+) {
+    let restricted = HardNegativeCache::build_for(table, positives, k, universe, uniform_prob);
+    let full = HardNegativeCache::build(table, k, universe, uniform_prob);
+    let universe = universe.min(table.rows());
+    assert_eq!(restricted.universe(), universe);
+    let (covered, uncovered): (Vec<usize>, Vec<usize>) =
+        (0..universe).partition(|row| positives.contains(row));
+    for &i in &covered {
+        assert_eq!(restricted.neighbors(i), full.neighbors(i), "row {i}");
+        assert_eq!(
+            restricted.neighbors(i),
+            oracle_list(table, i, k, universe).as_slice(),
+            "row {i} (k {k}, universe {universe})"
+        );
+    }
+    for &i in uncovered.iter().chain(&[universe, universe + 1]) {
+        assert!(restricted.neighbors(i).is_empty(), "row {i} is not listed");
+    }
+    let mut a = StdRng::seed_from_u64(rng_seed);
+    let mut b = StdRng::seed_from_u64(rng_seed);
+    for draw in 0..120usize {
+        let exclude = (draw * 7) % universe.max(1);
+        if !covered.is_empty() {
+            let positive = covered[draw % covered.len()];
+            assert_eq!(
+                restricted.negative(&mut a, table, positive, exclude),
+                full.negative(&mut b, table, positive, exclude),
+                "covered draw {draw}"
+            );
+        }
+        if !uncovered.is_empty() {
+            let positive = uncovered[draw % uncovered.len()];
+            assert_eq!(
+                restricted.negative(&mut a, table, positive, exclude),
+                full.negative(&mut b, table, universe, exclude),
+                "uncovered draw {draw}"
+            );
+        }
+    }
 }
 
 /// A random table with degenerate rows mixed in: per row, with the given
@@ -172,8 +230,44 @@ fn all_zero_and_all_equal_tables_rank_by_row() {
     }
 }
 
+#[test]
+fn build_for_empty_and_out_of_universe_sets_list_nothing() {
+    let table = degenerate_table(9, 50, 6, 40, 200, 0);
+    for positives in [&[][..], &[40, 45, 49, 400][..]] {
+        let cache = HardNegativeCache::build_for(&table, positives, 4, 40, 0.3);
+        assert!((0..52).all(|i| cache.neighbors(i).is_empty()));
+        assert_build_for_matches(&table, positives, 4, 40, 0.3, 5);
+    }
+    // Duplicates collapse onto one list.
+    assert_build_for_matches(&table, &[3, 3, 17, 3, 39, 17], 4, 40, 0.3, 6);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `build_for` over drawn row sets — with duplicates, rows past the
+    /// universe and the empty set — on tables with zero and duplicated rows
+    /// and universes up to the table's length.
+    #[test]
+    fn build_for_matches_build_and_oracle(
+        seed in 0u64..10_000,
+        rows in 1usize..300,
+        universe_cut in 0usize..300,
+        dim in 1usize..10,
+        k in 0usize..12,
+        zero_pm in 0u32..150,
+        dup_pm in 0u32..300,
+        drawn in proptest::collection::vec(0usize..360, 0..40),
+        repeat in 0usize..40,
+        uniform_pm in 0u32..1000,
+    ) {
+        let table = degenerate_table(seed, rows, dim, zero_pm, dup_pm, 0);
+        let universe = universe_cut % (rows + 1);
+        let mut positives = drawn.clone();
+        positives.extend_from_slice(&drawn[..repeat.min(drawn.len())]);
+        let uniform_prob = f64::from(uniform_pm) / 1000.0;
+        assert_build_for_matches(&table, &positives, k, universe, uniform_prob, seed ^ 0x5eed);
+    }
 
     /// Core contract on tables large enough to span several row blocks and
     /// column tiles of the self-join, with zero rows, duplicated rows and

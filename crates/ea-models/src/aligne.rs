@@ -5,9 +5,11 @@
 //! on:
 //!
 //! 1. **Hard negative sampling** — negatives are drawn from the entities most
-//!    similar to the true counterpart under the current embeddings, which
-//!    teaches the model to distinguish similar entities (and is why AlignE
-//!    gains the least from ExEA's relation-conflict resolution, Fig. 6).
+//!    similar to the true counterpart under the current embeddings (a cache
+//!    of nearest-neighbour lists for the seed targets, rebuilt every few
+//!    epochs), which teaches the model to distinguish similar entities (and
+//!    is why AlignE gains the least from ExEA's relation-conflict
+//!    resolution, Fig. 6).
 //! 2. **Limit-based alignment loss** — instead of merely pulling seed pairs
 //!    together, a margin-ranking loss keeps the positive distance below the
 //!    negative distance, sharpening decision boundaries.
@@ -15,10 +17,11 @@
 use crate::config::TrainConfig;
 use crate::trained::TrainedAlignment;
 use crate::training::{
-    alignment_margin_epoch, alignment_pull_epoch, training_rng, transe_epoch, TranslationState,
+    alignment_margin_epoch, alignment_pull_epoch, seed_targets, training_rng, transe_epoch,
+    TranslationState,
 };
 use crate::traits::EaModel;
-use ea_embed::{HardNegativeCache, NegativeSampler};
+use ea_embed::{EmbeddingTable, HardNegativeCache, NegativeSampler};
 use ea_graph::KgPair;
 
 /// The AlignE model.
@@ -56,24 +59,25 @@ impl EaModel for AlignE {
         let mut state = TranslationState::init(pair, &self.config, &mut rng);
         // Uniform corruption for the triple loss (as in TransE); the hard
         // negatives are reserved for the alignment loss, where distinguishing
-        // similar counterpart candidates actually matters.
+        // similar counterpart candidates actually matters. That loss draws
+        // only for seed targets, so only they get hard-negative lists.
         let source_sampler = NegativeSampler::uniform(pair.source.num_entities());
         let target_sampler = NegativeSampler::uniform(pair.target.num_entities());
-        let mut hard_targets = HardNegativeCache::build(
-            &state.target_entities,
-            Self::HARD_K,
-            pair.target.num_entities(),
-            Self::UNIFORM_PROB,
-        );
+        let positives = seed_targets(&pair.seed);
+        let build_cache = |target_entities: &EmbeddingTable| {
+            HardNegativeCache::build_for(
+                target_entities,
+                &positives,
+                Self::HARD_K,
+                pair.target.num_entities(),
+                Self::UNIFORM_PROB,
+            )
+        };
+        let mut hard_targets = build_cache(&state.target_entities);
 
         for epoch in 0..self.config.epochs {
             if epoch > 0 && epoch % Self::REFRESH_EVERY == 0 {
-                hard_targets = HardNegativeCache::build(
-                    &state.target_entities,
-                    Self::HARD_K,
-                    pair.target.num_entities(),
-                    Self::UNIFORM_PROB,
-                );
+                hard_targets = build_cache(&state.target_entities);
             }
             transe_epoch(
                 &pair.source,

@@ -11,16 +11,17 @@
 //!   behaviour, so relation semantics are captured (which is why Dual-AMN
 //!   gains little from relation-conflict resolution, Fig. 6);
 //! * **hard negative mining** — negatives are drawn from the entities most
-//!   similar to the true counterpart (precomputed candidate cache), giving
-//!   the model its ability to separate look-alike entities;
+//!   similar to the true counterpart (a candidate cache, rebuilt every few
+//!   epochs for the seed targets only — the rows the alignment loss draws
+//!   for), giving the model its ability to separate look-alike entities;
 //! * **strongest base accuracy** of the four models: gated propagation plus
 //!   50% more fine-tuning epochs than GCN-Align.
 
 use crate::config::TrainConfig;
 use crate::trained::TrainedAlignment;
 use crate::training::{
-    alignment_margin_epoch, anchor_init, merge_seed_embeddings, propagate, training_rng,
-    NeighborLists,
+    alignment_margin_epoch, anchor_init, merge_seed_embeddings, propagate, seed_targets,
+    training_rng, NeighborLists,
 };
 use crate::traits::EaModel;
 use ea_embed::{EmbeddingTable, HardNegativeCache};
@@ -116,21 +117,23 @@ impl EaModel for DualAmn {
 
         // Fine-tune with hard negatives; Dual-AMN's normalised loss converges
         // fast in the original, which we emulate with 50% more epochs.
+        // The hard negatives are the nearest target entities of each seed
+        // target, so only the seed targets get lists.
         let epochs = config.epochs + config.epochs / 2;
-        let mut cache = HardNegativeCache::build(
-            &target_out,
-            Self::HARD_K,
-            pair.target.num_entities(),
-            Self::UNIFORM_PROB,
-        );
+        let positives = seed_targets(&pair.seed);
+        let build_cache = |target_out: &EmbeddingTable| {
+            HardNegativeCache::build_for(
+                target_out,
+                &positives,
+                Self::HARD_K,
+                pair.target.num_entities(),
+                Self::UNIFORM_PROB,
+            )
+        };
+        let mut cache = build_cache(&target_out);
         for epoch in 0..epochs {
             if epoch > 0 && epoch % Self::REFRESH_EVERY == 0 {
-                cache = HardNegativeCache::build(
-                    &target_out,
-                    Self::HARD_K,
-                    pair.target.num_entities(),
-                    Self::UNIFORM_PROB,
-                );
+                cache = build_cache(&target_out);
             }
             alignment_margin_epoch(
                 &pair.seed,

@@ -211,6 +211,10 @@ pub fn merge_seed_embeddings(
 /// seed pairs must be closer than the source entity is to a sampled negative
 /// target entity. This is the loss that lets AlignE and Dual-AMN distinguish
 /// highly similar entities.
+///
+/// The sampler is queried only for seed targets (`positive` is always some
+/// `p.target` of `seed`), so a hard-negative cache needs lists for
+/// [`seed_targets`] alone.
 pub fn alignment_margin_epoch<N: Negatives>(
     seed: &AlignmentSet,
     source_entities: &mut EmbeddingTable,
@@ -253,6 +257,14 @@ pub fn alignment_margin_epoch<N: Negatives>(
             target_entities.add_to_row(neg, &neg_grad, -step);
         }
     }
+}
+
+/// The target entities of the seed pairs, in seed order: the rows
+/// [`alignment_margin_epoch`] draws negatives for, and so the rows the
+/// hard-negative models build their caches for
+/// ([`ea_embed::HardNegativeCache::build_for`]).
+pub fn seed_targets(seed: &AlignmentSet) -> Vec<usize> {
+    seed.iter().map(|p| p.target.index()).collect()
 }
 
 /// Precomputed neighbour lists used by the aggregation-based models:
