@@ -17,20 +17,15 @@
 //!   table6   EA verification precision/recall/F1
 //!   table7   explanation generation under seed noise
 //!   table8   EA repair under seed noise
-//!   topk     dense similarity matrix vs blocked top-k candidate engine
-//!   ann      exact scan vs IVF pre-filter (recall/speed across nprobe)
-//!   sq8      exact scan vs SQ8 quantized scan + exact re-rank (recall/speed)
-//!   ondisk   in-memory vs mmap/pread-backed candidate store (resident bytes)
-//!   shard    exact scan vs sharded scatter-gather (recall across routed shards)
-//!   serve    exea-serve under concurrent load (p50/p99, clean vs injected faults)
-//!   lsm      LSM mutable engine: insert/delete/compact schedule (recall, cost, repair parity)
-//!   all      run everything above in sequence
+//!   all      run everything above in sequence (the paper's full run)
 //! ```
 //!
-//! `--scale small` (default) finishes in minutes on a laptop; `--scale bench`
-//! uses larger synthetic datasets and is what `EXPERIMENTS.md` reports.
-//! An unknown flag or scale, a flag without its value and a `--samples`
-//! that is not a positive integer all exit 2 with a one-line message.
+//! Experiment names ignore ASCII case. `--scale small` (default) finishes in
+//! minutes on a laptop; `--scale bench` uses larger synthetic datasets. The
+//! README's "Building, testing, benchmarking" section has example commands.
+//! An unknown experiment, flag or scale, a flag without its value and a
+//! `--samples` that is not a positive integer all exit 2 with a one-line
+//! message before any dataset loads.
 #![forbid(unsafe_code)]
 
 mod experiments;
@@ -43,6 +38,13 @@ fn main() {
         print_usage();
         return;
     }
+    let selected = select(&args[0]).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown experiment {:?} (expected {})",
+            args[0],
+            names()
+        ))
+    });
     // Validate environment overrides up front: a typo'd EXEA_CANDIDATE_SEARCH
     // or EXEA_MAPPED_BACKEND is a clean one-line failure before any dataset
     // loads, not a panic deep inside the first experiment.
@@ -53,7 +55,6 @@ fn main() {
         fail(&e.to_string());
     }
     let mut config = BenchConfig::default();
-    let mut experiment = args[0].clone();
     let mut flags = args[1..].iter();
     while let Some(flag) = flags.next() {
         let mut value = || {
@@ -81,21 +82,25 @@ fn main() {
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
-    if experiment == "all" {
-        for e in Experiment::all() {
-            run(e, &config);
-        }
-        return;
+    for experiment in selected {
+        run(experiment, &config);
     }
-    experiment.make_ascii_lowercase();
-    match Experiment::parse(&experiment) {
-        Some(e) => run(e, &config),
-        None => {
-            eprintln!("unknown experiment {experiment:?}");
-            print_usage();
-            std::process::exit(1);
-        }
+}
+
+/// The experiments a command-line name selects, ignoring ASCII case: `all`
+/// is every experiment in paper order; an unknown name selects nothing.
+fn select(name: &str) -> Option<Vec<Experiment>> {
+    if name.eq_ignore_ascii_case("all") {
+        return Some(Experiment::all().to_vec());
     }
+    Experiment::parse(name).map(|e| vec![e])
+}
+
+/// Every accepted experiment name, `|`-separated, `all` last.
+fn names() -> String {
+    let mut names: Vec<&str> = Experiment::all().iter().map(|e| e.name()).collect();
+    names.push("all");
+    names.join("|")
 }
 
 /// Rejects the command line with a one-line message and exit status 2.
@@ -112,7 +117,26 @@ fn run(experiment: Experiment, config: &BenchConfig) {
 
 fn print_usage() {
     println!(
-        "exea-bench <table1|table2|fig4|fig5|table3|table4|fig6|table5|table6|table7|table8|topk|ann|sq8|ondisk|shard|serve|lsm|all> \
-         [--scale small|bench|paper] [--samples N]"
+        "exea-bench <{}> [--scale small|bench|paper] [--samples N]",
+        names()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_ignore_case_and_cover_only_the_paper() {
+        assert_eq!(select("ALL"), select("all"));
+        assert_eq!(select("All"), Some(Experiment::all().to_vec()));
+        assert_eq!(select("Table3"), select("table3"));
+        assert_eq!(select("TABLE3"), Some(vec![Experiment::Table3]));
+        for retired in ["topk", "ann", "sq8", "ondisk", "shard", "serve", "lsm"] {
+            assert_eq!(select(retired), None, "{retired:?}");
+        }
+        for e in Experiment::all() {
+            assert_eq!(Experiment::parse(e.name()), Some(e));
+        }
+    }
 }

@@ -2,6 +2,8 @@
 //! synthetic ZH-EN dataset the IVF path must reach >= 0.95 recall@10 against
 //! the exact scan at half the probes, and at `nprobe = nlist` it must leave
 //! every greedy alignment decision (and every stored score bit) unchanged.
+//! The exact blocked scan it is measured against must itself reproduce the
+//! dense `SimilarityMatrix`'s greedy alignment on these trained embeddings.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::{CandidateSearch, IvfParams};
@@ -16,6 +18,11 @@ fn ivf_reaches_095_recall_at_10_on_zh_en_and_is_exact_at_full_probing() {
     let k = 10usize;
 
     let exact = trained.candidate_index(&pair, k);
+    assert_eq!(
+        trained.similarity_matrix(&pair).greedy_alignment().to_vec(),
+        exact.greedy_alignment().to_vec(),
+        "dense and blocked greedy alignments must agree"
+    );
     let n_t = exact.target_ids().len();
     let nlist = IvfParams::default().resolved_nlist(n_t);
     let nprobe = nlist.div_ceil(2);

@@ -1,5 +1,7 @@
 //! Command-line rejection of `exea-bench`: every malformed invocation exits
 //! with status 2 and a one-line message before any dataset is loaded.
+//! Case-insensitive selection of the accepted names is a unit test in
+//! `src/main.rs`.
 
 use std::process::Command;
 
@@ -47,5 +49,18 @@ fn unknown_flags_are_rejected() {
     reject(
         &["fig4", "--scale", "small", "extra"],
         "unknown flag \"extra\"",
+    );
+}
+
+#[test]
+fn unknown_experiments_are_rejected() {
+    let names = "table1|table2|fig4|fig5|table3|table4|fig6|table5|table6|table7|table8|all";
+    reject(
+        &["topk"],
+        &format!("unknown experiment \"topk\" (expected {names})"),
+    );
+    reject(
+        &["nonsense"],
+        &format!("unknown experiment \"nonsense\" (expected {names})"),
     );
 }

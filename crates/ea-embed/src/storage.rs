@@ -41,7 +41,7 @@
 //! decoded from the staging buffer, and the probe loop announces upcoming
 //! lists via `posix_fadvise(WILLNEED)` readahead — which is what keeps the
 //! no-mmap backend within a small factor of the mapped view instead of ~10×
-//! behind it (measured in `exea-bench ondisk`).
+//! behind it (README's on-disk table).
 //!
 //! **Bit-identity contract.** Whatever the backend, exact scores come from
 //! the same register-blocked [`crate::kernel`] over the same normalised f32
