@@ -299,6 +299,7 @@ fn fig4(config: &BenchConfig) {
         .iter()
         .take(config.fidelity_samples)
         .collect();
+    let mut first_order: Vec<(String, f64)> = Vec::new();
     for hops in [1usize, 2] {
         let exea_config = if hops == 2 {
             ExeaConfig::second_order()
@@ -339,19 +340,14 @@ fn fig4(config: &BenchConfig) {
         });
         timings.push(("ExEA (batch, parallel)".to_owned(), elapsed.as_secs_f64()));
         if hops == 1 {
-            for (name, secs) in &timings {
-                table.add_row(vec![name.clone(), format!("{secs:.3}"), String::new()]);
-            }
+            first_order = timings;
         } else {
-            // Merge the second-order timings into the existing rows.
-            let mut merged = Table::new(
-                "Fig. 4 — explanation generation time (s), Dual-AMN on ZH-EN",
-                &["Method", "ZH-EN-2 (s)"],
-            );
-            for (name, secs) in &timings {
-                merged.add_row(vec![name.clone(), format!("{secs:.3}")]);
+            // One row per method: the first- and second-order timings side
+            // by side (both passes time the same methods in the same order).
+            for ((name, one), (second_name, two)) in first_order.iter().zip(&timings) {
+                debug_assert_eq!(name, second_name);
+                table.add_row(vec![name.clone(), format!("{one:.3}"), format!("{two:.3}")]);
             }
-            println!("{merged}");
         }
     }
     println!("{table}");

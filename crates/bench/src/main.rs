@@ -45,13 +45,10 @@ fn main() {
             names()
         ))
     });
-    // Validate environment overrides up front: a typo'd EXEA_CANDIDATE_SEARCH
-    // or EXEA_MAPPED_BACKEND is a clean one-line failure before any dataset
+    // Validate the environment override up front: a typo'd
+    // EXEA_CANDIDATE_SEARCH is a clean one-line failure before any dataset
     // loads, not a panic deep inside the first experiment.
     if let Err(e) = ea_embed::CandidateSearch::from_env() {
-        fail(&e.to_string());
-    }
-    if let Err(e) = ea_embed::mapped_backend_from_env() {
         fail(&e.to_string());
     }
     let mut config = BenchConfig::default();

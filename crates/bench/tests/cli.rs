@@ -9,7 +9,6 @@ fn reject(args: &[&str], expect: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_exea-bench"))
         .args(args)
         .env_remove("EXEA_CANDIDATE_SEARCH")
-        .env_remove("EXEA_MAPPED_BACKEND")
         .output()
         .expect("run exea-bench");
     let stderr = String::from_utf8_lossy(&out.stderr);

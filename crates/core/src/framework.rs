@@ -108,7 +108,8 @@ impl<'a> ExEa<'a> {
     /// the paper's ranked candidate matrix `M`, produced by the configured
     /// [`ea_embed::CandidateSearch`] strategy (exact blocked scan, IVF
     /// pre-filter — optionally with SQ8 list storage — SQ8 quantized scan,
-    /// or sharded scatter-gather over per-shard containers; approximate
+    /// sharded scatter-gather over per-shard IVF engines, or the LSM
+    /// segments; approximate
     /// strategies may miss candidates but never re-score the ones they
     /// return). Built once at construction and shared by
     /// prediction, repair (cr2/cr3) and candidate verification.

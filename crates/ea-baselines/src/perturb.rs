@@ -66,6 +66,52 @@ impl BaselineMethod {
     }
 }
 
+/// The perturbation features of one explained pair: the candidate triples
+/// plus, per side, the ascending indexes of the candidates incident to that
+/// side's central entity. Only incident triples enter the re-encoding
+/// (Eq. 10) and the name proxy, so every perturbed sample walks these lists
+/// instead of all candidates — in ascending order, the order a full scan
+/// would visit them, so every float sum stays bit-identical.
+struct Features {
+    source: EntityId,
+    target: EntityId,
+    candidates: Vec<(Triple, KgSide)>,
+    source_incident: Vec<usize>,
+    target_incident: Vec<usize>,
+}
+
+impl Features {
+    fn new(source: EntityId, target: EntityId, candidates: Vec<(Triple, KgSide)>) -> Self {
+        let incident = |side: KgSide, entity: EntityId| -> Vec<usize> {
+            candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, (t, s))| *s == side && t.contains(entity))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        Self {
+            source_incident: incident(KgSide::Source, source),
+            target_incident: incident(KgSide::Target, target),
+            source,
+            target,
+            candidates,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// The central entity of `side` and the candidates incident to it.
+    fn central(&self, side: KgSide) -> (EntityId, &[usize]) {
+        match side {
+            KgSide::Source => (self.source, &self.source_incident),
+            KgSide::Target => (self.target, &self.target_incident),
+        }
+    }
+}
+
 /// A perturbation-based explainer bound to one KG pair and trained model.
 pub struct PerturbationExplainer<'a> {
     pair: &'a KgPair,
@@ -120,17 +166,12 @@ impl<'a> PerturbationExplainer<'a> {
         cands
     }
 
-    /// Re-encodes a central entity from the included incident triples
-    /// (Eq. 10): outgoing triples contribute `e_other - r`, incoming triples
-    /// contribute `e_other + r`. Returns a zero vector when nothing incident
-    /// is included.
-    fn local_encode(
-        &self,
-        entity: EntityId,
-        side: KgSide,
-        candidates: &[(Triple, KgSide)],
-        mask: &[bool],
-    ) -> Vec<f32> {
+    /// Re-encodes the central entity of `side` from the included incident
+    /// triples (Eq. 10): outgoing triples contribute `e_other - r`, incoming
+    /// triples contribute `e_other + r`. Returns a zero vector when nothing
+    /// incident is included.
+    fn local_encode(&self, features: &Features, side: KgSide, mask: &[bool]) -> Vec<f32> {
+        let (entity, incident) = features.central(side);
         let entities = self.trained.entities(side);
         let relations = match side {
             KgSide::Source => &self.source_relations,
@@ -140,10 +181,11 @@ impl<'a> PerturbationExplainer<'a> {
         let rel_dim = relations.dim().min(dim);
         let mut acc = vec![0.0f32; dim];
         let mut count = 0usize;
-        for (i, (t, s)) in candidates.iter().enumerate() {
-            if !mask[i] || *s != side || !t.contains(entity) {
+        for &i in incident {
+            if !mask[i] {
                 continue;
             }
+            let (t, _) = &features.candidates[i];
             let (other, sign) = if t.head == entity {
                 (t.tail, -1.0f32)
             } else {
@@ -164,25 +206,20 @@ impl<'a> PerturbationExplainer<'a> {
     }
 
     /// The model-response value of one perturbed sample.
-    fn value(
-        &self,
-        source: EntityId,
-        target: EntityId,
-        candidates: &[(Triple, KgSide)],
-        mask: &[bool],
-    ) -> f64 {
+    fn value(&self, features: &Features, mask: &[bool]) -> f64 {
         match self.method {
             BaselineMethod::ChatGptPerturb => {
                 // The simulated LLM judges similarity from names only: the
                 // fraction of included source triples whose neighbour name
                 // (digits stripped) also appears as an included target
                 // neighbour name.
-                let collect = |side: KgSide, entity: EntityId| -> Vec<String> {
-                    candidates
+                let collect = |side: KgSide| -> Vec<String> {
+                    let (entity, incident) = features.central(side);
+                    incident
                         .iter()
-                        .enumerate()
-                        .filter(|(i, (t, s))| mask[*i] && *s == side && t.contains(entity))
-                        .map(|(_, (t, _))| {
+                        .filter(|&&i| mask[i])
+                        .map(|&i| {
+                            let (t, _) = &features.candidates[i];
                             let other = if t.head == entity { t.tail } else { t.head };
                             let kg = match side {
                                 KgSide::Source => &self.pair.source,
@@ -192,8 +229,8 @@ impl<'a> PerturbationExplainer<'a> {
                         })
                         .collect()
                 };
-                let src_names = collect(KgSide::Source, source);
-                let tgt_names = collect(KgSide::Target, target);
+                let src_names = collect(KgSide::Source);
+                let tgt_names = collect(KgSide::Target);
                 if src_names.is_empty() || tgt_names.is_empty() {
                     return 0.0;
                 }
@@ -204,8 +241,8 @@ impl<'a> PerturbationExplainer<'a> {
                 matched as f64 / src_names.len() as f64
             }
             _ => {
-                let e1 = self.local_encode(source, KgSide::Source, candidates, mask);
-                let e2 = self.local_encode(target, KgSide::Target, candidates, mask);
+                let e1 = self.local_encode(features, KgSide::Source, mask);
+                let e2 = self.local_encode(features, KgSide::Target, mask);
                 ea_embed::vector::cosine(&e1, &e2) as f64
             }
         }
@@ -213,33 +250,25 @@ impl<'a> PerturbationExplainer<'a> {
 
     /// Locality kernel of Eq. 11: mean similarity between the re-encoded and
     /// the original central-entity embeddings.
-    fn locality_weight(
-        &self,
-        source: EntityId,
-        target: EntityId,
-        candidates: &[(Triple, KgSide)],
-        mask: &[bool],
-    ) -> f64 {
-        let e1 = self.local_encode(source, KgSide::Source, candidates, mask);
-        let e2 = self.local_encode(target, KgSide::Target, candidates, mask);
-        let s1 =
-            ea_embed::vector::cosine(&e1, self.trained.entity_embedding(KgSide::Source, source))
-                as f64;
-        let s2 =
-            ea_embed::vector::cosine(&e2, self.trained.entity_embedding(KgSide::Target, target))
-                as f64;
+    fn locality_weight(&self, features: &Features, mask: &[bool]) -> f64 {
+        let e1 = self.local_encode(features, KgSide::Source, mask);
+        let e2 = self.local_encode(features, KgSide::Target, mask);
+        let s1 = ea_embed::vector::cosine(
+            &e1,
+            self.trained
+                .entity_embedding(KgSide::Source, features.source),
+        ) as f64;
+        let s2 = ea_embed::vector::cosine(
+            &e2,
+            self.trained
+                .entity_embedding(KgSide::Target, features.target),
+        ) as f64;
         (0.5 * (s1 + s2)).max(0.01)
     }
 
     /// Scores every candidate triple; higher means more important.
-    fn score_candidates(
-        &self,
-        source: EntityId,
-        target: EntityId,
-        candidates: &[(Triple, KgSide)],
-        rng: &mut ChaCha8Rng,
-    ) -> Vec<f64> {
-        let n = candidates.len();
+    fn score_candidates(&self, features: &Features, rng: &mut ChaCha8Rng) -> Vec<f64> {
+        let n = features.len();
         if n == 0 {
             return Vec::new();
         }
@@ -249,13 +278,10 @@ impl<'a> PerturbationExplainer<'a> {
                 let masks: Vec<Vec<bool>> = (0..self.samples)
                     .map(|_| (0..n).map(|_| rng.gen_bool(0.5)).collect())
                     .collect();
-                let values: Vec<f64> = masks
-                    .iter()
-                    .map(|m| self.value(source, target, candidates, m))
-                    .collect();
+                let values: Vec<f64> = masks.iter().map(|m| self.value(features, m)).collect();
                 let weights: Vec<f64> = masks
                     .iter()
-                    .map(|m| self.locality_weight(source, target, candidates, m))
+                    .map(|m| self.locality_weight(features, m))
                     .collect();
                 ridge_regression(&masks, &values, &weights, 0.1)
             }
@@ -270,8 +296,7 @@ impl<'a> PerturbationExplainer<'a> {
                         without[i] = false;
                         let mut with = base_mask.clone();
                         with[i] = true;
-                        scores[i] += self.value(source, target, candidates, &with)
-                            - self.value(source, target, candidates, &without);
+                        scores[i] += self.value(features, &with) - self.value(features, &without);
                     }
                 }
                 for s in &mut scores {
@@ -283,7 +308,7 @@ impl<'a> PerturbationExplainer<'a> {
                 // Greedy precision-driven rule growth; the score of a triple
                 // is the (negated) step at which it was added, so earlier
                 // anchor members rank higher.
-                let full_value = self.value(source, target, candidates, &vec![true; n]);
+                let full_value = self.value(features, &vec![true; n]);
                 let threshold = full_value * 0.8;
                 let precision = |anchor: &[usize], rng: &mut ChaCha8Rng| -> f64 {
                     let trials = 24;
@@ -293,7 +318,7 @@ impl<'a> PerturbationExplainer<'a> {
                         for &a in anchor {
                             mask[a] = true;
                         }
-                        if self.value(source, target, candidates, &mask) >= threshold {
+                        if self.value(features, &mask) >= threshold {
                             hits += 1;
                         }
                     }
@@ -327,14 +352,14 @@ impl<'a> PerturbationExplainer<'a> {
                 // Shallow decision tree on balanced perturbed samples; the
                 // features tested on the path of the all-included instance
                 // form the rule.
-                let full_value = self.value(source, target, candidates, &vec![true; n]);
+                let full_value = self.value(features, &vec![true; n]);
                 let threshold = full_value * 0.8;
                 let masks: Vec<Vec<bool>> = (0..self.samples * 2)
                     .map(|_| (0..n).map(|_| rng.gen_bool(0.5)).collect())
                     .collect();
                 let labels: Vec<bool> = masks
                     .iter()
-                    .map(|m| self.value(source, target, candidates, m) >= threshold)
+                    .map(|m| self.value(features, m) >= threshold)
                     .collect();
                 let mut scores = vec![0.0f64; n];
                 let mut remaining: Vec<usize> = (0..masks.len()).collect();
@@ -491,20 +516,21 @@ impl Explainer for PerturbationExplainer<'_> {
         if candidates.is_empty() || budget == 0 {
             return Explanation::empty(source, target);
         }
+        let features = Features::new(source, target, candidates);
         // Deterministic per-pair RNG so repeated calls agree.
         let mut rng =
             ChaCha8Rng::seed_from_u64(self.seed ^ ((source.0 as u64) << 32) ^ target.0 as u64);
-        let scores = self.score_candidates(source, target, &candidates, &mut rng);
-        let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+        let scores = self.score_candidates(&features, &mut rng);
+        let mut ranked: Vec<usize> = (0..features.len()).collect();
         ranked.sort_unstable_by(|&a, &b| rank_by_score(&scores, a, b));
 
         let mut explanation = Explanation::empty(source, target);
-        for &idx in ranked.iter().take(budget.min(candidates.len())) {
+        for &idx in ranked.iter().take(budget.min(features.len())) {
             if scores[idx] <= 0.0 {
                 // Only keep triples with positive evidence.
                 continue;
             }
-            let (t, side) = candidates[idx];
+            let (t, side) = features.candidates[idx];
             match side {
                 KgSide::Source => explanation.source_triples.insert(t),
                 KgSide::Target => explanation.target_triples.insert(t),

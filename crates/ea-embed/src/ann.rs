@@ -49,17 +49,14 @@ use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::lsm::{lsm_pass, LsmParams};
 use crate::quantized::{
-    sq8_select_and_rerank, sq8_topk_flat, QuantizedTable, Sq8GridFit, Sq8Params, Sq8Scratch,
+    sq8_select_and_rerank, sq8_topk_flat, QuantizedTable, Sq8Params, Sq8Scratch,
 };
 use crate::shard::{ShardParams, ShardedIndex};
-use crate::storage::{
-    self, InMemory, ListStore, MappedOptions, RowSource, StorageError, StoreBacking, TableRows,
-};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
 use ea_graph::EntityId;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
@@ -67,25 +64,6 @@ use rayon::prelude::*;
 /// of every engine's query loop (IVF and SQ8 search, shard routing, the
 /// segment gather-merge, the LSM tail scan).
 pub(crate) const ROW_TILE: usize = 128;
-
-/// How the k-means seeds (initial centroids) of the IVF coarse quantizer are
-/// chosen. Both options are pure functions of ([`IvfParams::seed`], corpus):
-/// run-to-run and thread-count deterministic (`prop_streaming.rs` pins it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IvfSeeding {
-    /// A seeded ChaCha8 shuffle of the row indexes picks `nlist` distinct
-    /// seed rows — the cheapest option and the historical default.
-    #[default]
-    Shuffle,
-    /// Deterministic k-means++: seeds are drawn one at a time with
-    /// probability proportional to each row's cosine distance
-    /// `max(0, 1 − clamp(dot, −1, 1))` to its nearest already-chosen seed,
-    /// all randomness from the same seeded ChaCha8 stream. Costs `nlist − 1`
-    /// extra sweeps over the corpus at build time, but spreads the seeds —
-    /// which typically balances list sizes and improves recall at equal
-    /// `nprobe`.
-    KmeansPlusPlus,
-}
 
 /// How an [`IvfIndex`] stores (and scans) its inverted lists.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -111,13 +89,10 @@ pub struct IvfParams {
     /// `nlist` are clamped (probing every list reproduces the exact scan bit
     /// for bit).
     pub nprobe: usize,
-    /// Seed of the k-means initialisation (quantizer is fully deterministic
+    /// Seed of the k-means initialisation, a ChaCha8 shuffle that picks
+    /// `nlist` distinct seed rows (the quantizer is fully deterministic
     /// given this seed).
     pub seed: u64,
-    /// How the initial centroids are picked: a seeded shuffle
-    /// ([`IvfSeeding::Shuffle`], the default) or deterministic k-means++
-    /// ([`IvfSeeding::KmeansPlusPlus`]).
-    pub seeding: IvfSeeding,
     /// Maximum k-means refinement iterations (converges earlier when
     /// assignments stabilise).
     pub kmeans_iters: usize,
@@ -132,7 +107,6 @@ impl Default for IvfParams {
             nlist: 0,
             nprobe: 0,
             seed: 0x1EF_5EED,
-            seeding: IvfSeeding::Shuffle,
             kmeans_iters: 8,
             storage: IvfListStorage::Flat,
         }
@@ -181,15 +155,15 @@ impl IvfParams {
 pub struct IvfIndex {
     /// `nlist × dim` spherical k-means centroids (unit rows; an all-zero row
     /// can occur for degenerate clusters and scores 0 like any zero row).
-    pub(crate) centroids: EmbeddingTable,
+    centroids: EmbeddingTable,
     /// CSR offsets into `list_rows`, length `nlist + 1`.
-    pub(crate) list_offsets: Vec<u32>,
+    list_offsets: Vec<u32>,
     /// Corpus row indexes grouped by list, ascending within each list.
-    pub(crate) list_rows: Vec<u32>,
+    list_rows: Vec<u32>,
     /// IVF-SQ list storage: the SQ8 codes of the whole corpus (indexed by
     /// corpus row, so every inverted list shares one code panel) plus the
     /// re-rank parameters. `None` for flat storage.
-    pub(crate) quantized: Option<(QuantizedTable, Sq8Params)>,
+    quantized: Option<(QuantizedTable, Sq8Params)>,
 }
 
 /// Per-block scratch of [`IvfIndex::search`]: every buffer a query needs —
@@ -202,16 +176,13 @@ struct IvfScratch {
     centroid_scores: Vec<f32>,
     /// Centroids ranked best-first under the canonical candidate order.
     probe_order: Vec<Ranked>,
-    /// Exact scores of one inverted list (flat storage).
+    /// Exact scores of the gathered rows (flat storage).
     list_scores: Vec<f32>,
-    /// Corpus rows gathered from the probed lists (SQ8 storage).
+    /// Corpus rows gathered from the probed lists.
     gathered: Vec<u32>,
     /// Quantized-scan buffers (SQ8 storage) — the same scratch the
     /// whole-corpus SQ8 engine uses.
     sq8: Sq8Scratch,
-    /// Staging buffers of the row store (mapped backends decode gathered
-    /// rows through these; the in-memory backend leaves them empty).
-    store: storage::StoreScratch,
 }
 
 impl IvfScratch {
@@ -222,7 +193,6 @@ impl IvfScratch {
             list_scores: Vec::new(),
             gathered: Vec::new(),
             sq8: Sq8Scratch::new(),
-            store: storage::StoreScratch::new(),
         }
     }
 }
@@ -243,12 +213,8 @@ impl IvfIndex {
             };
         }
 
-        // The resident build is the streaming trainer over a borrowed table:
-        // one whole-corpus chunk, borrowed zero-copy, so nothing is staged —
-        // and [`storage::save_ivf_streaming`] is byte-identical to
-        // `build(..).save(..)` by construction (both run this exact core).
-        let train = train_streaming(&TableRows::new(corpus), params, n, None);
-        let (list_offsets, list_rows) = csr_from_assignments(&train.assignments, nlist);
+        let (centroids, assignments) = train_kmeans(corpus, params);
+        let (list_offsets, list_rows) = csr_from_assignments(&assignments, nlist);
 
         // IVF-SQ: one code panel over the whole corpus, shared by every
         // inverted list (lists store row indexes either way).
@@ -258,79 +224,11 @@ impl IvfIndex {
         };
 
         Self {
-            centroids: train.centroids,
+            centroids,
             list_offsets,
             list_rows,
             quantized,
         }
-    }
-
-    /// Assembles an index from deserialised parts — the loading path of the
-    /// on-disk container ([`crate::MappedIndex::open`]) — validating every
-    /// CSR invariant against the corpus size instead of trusting the input:
-    /// a corrupt or truncated container surfaces a typed [`StorageError`]
-    /// naming the offending section rather than a panic (the build path can
-    /// afford `debug_assert!`s; the load path cannot).
-    ///
-    /// Checks: `list_offsets` starts at 0, ascends monotonically and ends at
-    /// `list_rows.len()`; it carries exactly `centroids.rows() + 1` entries;
-    /// and `list_rows` files every corpus row `0..corpus_rows` exactly once.
-    pub fn from_parts(
-        centroids: EmbeddingTable,
-        list_offsets: Vec<u32>,
-        list_rows: Vec<u32>,
-        corpus_rows: usize,
-    ) -> Result<Self, StorageError> {
-        if list_rows.len() != corpus_rows {
-            return Err(StorageError::ShapeMismatch {
-                section: "list rows",
-                detail: format!("expected {corpus_rows} entries, found {}", list_rows.len()),
-            });
-        }
-        if list_offsets.len() != centroids.rows() + 1 {
-            return Err(StorageError::ShapeMismatch {
-                section: "list offsets",
-                detail: format!(
-                    "expected {} offsets for {} centroids, found {}",
-                    centroids.rows() + 1,
-                    centroids.rows(),
-                    list_offsets.len()
-                ),
-            });
-        }
-        if list_offsets[0] != 0
-            || list_offsets.windows(2).any(|w| w[0] > w[1])
-            || *list_offsets.last().unwrap() as usize != list_rows.len()
-        {
-            return Err(StorageError::Corrupt {
-                section: "list offsets",
-                detail: "offsets must ascend from 0 to the row count".into(),
-            });
-        }
-        let mut seen = vec![false; corpus_rows];
-        for &row in &list_rows {
-            match seen.get_mut(row as usize) {
-                Some(flag) if !*flag => *flag = true,
-                Some(_) => {
-                    return Err(StorageError::Corrupt {
-                        section: "list rows",
-                        detail: format!("corpus row {row} filed twice"),
-                    });
-                }
-                None => {
-                    return Err(StorageError::Corrupt {
-                        section: "list rows",
-                        detail: format!("corpus row {row} out of bounds ({corpus_rows} rows)"),
-                    });
-                }
-            }
-        }
-        Ok(Self {
-            centroids,
-            list_offsets,
-            list_rows,
-            quantized: None,
-        })
     }
 
     /// Number of inverted lists.
@@ -338,10 +236,9 @@ impl IvfIndex {
         self.centroids.rows()
     }
 
-    /// Heap bytes of the coarse state that must stay resident for searching:
-    /// centroids + CSR offsets/rows (+ SQ8 codes when the index owns them).
-    /// This is what remains in RAM when the panels move behind a mapped
-    /// store.
+    /// Heap bytes of the coarse state kept for searching: centroids + CSR
+    /// offsets/rows (+ SQ8 codes when the index owns them). The corpus
+    /// panel the index searches is the caller's and does not count.
     pub fn resident_bytes(&self) -> usize {
         self.centroids.data().len() * 4
             + (self.list_offsets.len() + self.list_rows.len()) * 4
@@ -376,7 +273,10 @@ impl IvfIndex {
     ///
     /// `corpus` must be the table the index was built from; `queries` must be
     /// normalised the same way. With `nprobe >= nlist` the result is
-    /// bit-identical to the exact blocked scan.
+    /// bit-identical to the exact blocked scan. When the index carries SQ8
+    /// codes ([`IvfListStorage::Sq8`]) the probed lists are scanned through
+    /// them and only the approximate best `rerank_factor · k` rows are
+    /// re-scored exactly (IVF-SQ).
     pub fn search(
         &self,
         queries: &EmbeddingTable,
@@ -384,51 +284,16 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
     ) -> Vec<Vec<(u32, f32)>> {
-        let (store, sq8) = self.in_memory_store(corpus);
-        self.search_store(queries, &store, sq8, k, nprobe)
-    }
-
-    /// [`IvfIndex::search`] gathering rows through an explicit [`ListStore`]
-    /// backend instead of a resident corpus table: pass
-    /// [`crate::InMemory`] for the classic path or a
-    /// [`crate::MappedStore`] to search an on-disk container whose panels
-    /// never enter RAM. Results are **bit-identical across backends** (the
-    /// per-row kernel summation order is backend-independent; pinned by
-    /// `tests/prop_storage.rs`).
-    ///
-    /// When `sq8` is `Some` *and* the store carries a code panel, probed
-    /// lists are scanned through the SQ8 codes with exact re-ranking
-    /// (IVF-SQ); otherwise the gathered f32 rows are scored directly.
-    pub fn search_store(
-        &self,
-        queries: &EmbeddingTable,
-        store: &dyn ListStore,
-        sq8: Option<&Sq8Params>,
-        k: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<(u32, f32)>> {
-        let cap = k.min(store.rows());
+        let cap = k.min(corpus.rows());
         if cap == 0 {
             // Degenerate corpus or k = 0: still one (empty) list per query,
             // as documented.
             return vec![Vec::new(); queries.rows()];
         }
-        let flat = self.search_flat_store(queries, store, sq8, cap, nprobe);
+        let flat = self.search_flat(queries, corpus, cap, nprobe);
         flat.chunks(cap)
             .map(|chunk| chunk.iter().map(|r| (r.index, r.score)).collect())
             .collect()
-    }
-
-    /// The in-memory store over `corpus` (with this index's own SQ8 codes
-    /// when it carries them) plus the matching re-rank parameters.
-    fn in_memory_store<'a>(
-        &'a self,
-        corpus: &'a EmbeddingTable,
-    ) -> (InMemory<'a>, Option<&'a Sq8Params>) {
-        match &self.quantized {
-            None => (InMemory::from_table(corpus), None),
-            Some((quantized, params)) => (InMemory::with_codes(corpus, quantized), Some(params)),
-        }
     }
 
     /// [`IvfIndex::search`] returning the flattened best-first lists
@@ -441,32 +306,18 @@ impl IvfIndex {
         cap: usize,
         nprobe: usize,
     ) -> Vec<Ranked> {
-        let (store, sq8) = self.in_memory_store(corpus);
-        self.search_flat_store(queries, &store, sq8, cap, nprobe)
-    }
-
-    /// [`IvfIndex::search_store`] returning the flattened best-first lists.
-    pub(crate) fn search_flat_store(
-        &self,
-        queries: &EmbeddingTable,
-        store: &dyn ListStore,
-        sq8: Option<&Sq8Params>,
-        cap: usize,
-        nprobe: usize,
-    ) -> Vec<Ranked> {
-        // A store from a different corpus/container would make the inverted
-        // lists index past its panels: out-of-range gathers either panic
-        // (in-memory) or silently decode unrelated bytes (mapped) — catch
-        // the misuse at the entry instead.
+        // A corpus other than the one this index was built from would make
+        // the inverted lists index past its panel — catch the misuse at the
+        // entry instead of deep inside a gather.
         assert_eq!(
-            store.rows(),
+            corpus.rows(),
             self.list_rows.len(),
-            "store row count does not match the corpus this index was built from"
+            "corpus row count does not match the corpus this index was built from"
         );
         assert!(
-            self.nlist() == 0 || self.centroids.dim() == store.dim(),
-            "store dimension {} does not match index dimension {}",
-            store.dim(),
+            self.nlist() == 0 || self.centroids.dim() == corpus.dim(),
+            "corpus dimension {} does not match index dimension {}",
+            corpus.dim(),
             self.centroids.dim()
         );
         let n_q = queries.rows();
@@ -474,7 +325,6 @@ impl IvfIndex {
             return Vec::new();
         }
         let nprobe = nprobe.min(self.nlist()).max(1);
-        let sq8 = if store.has_codes() { sq8 } else { None };
         // Same fan-out shape as the exact scan: fixed query blocks over the
         // rayon pool, block results concatenated in input order. One scratch
         // set per block, reused across its queries.
@@ -486,15 +336,7 @@ impl IvfIndex {
                 let mut out = Vec::with_capacity((end - start) * cap);
                 let mut scratch = IvfScratch::new();
                 for q in start..end {
-                    self.search_row(
-                        queries.row(q),
-                        store,
-                        sq8,
-                        cap,
-                        nprobe,
-                        &mut scratch,
-                        &mut out,
-                    );
+                    self.search_row(queries.row(q), corpus, cap, nprobe, &mut scratch, &mut out);
                 }
                 out
             })
@@ -503,23 +345,21 @@ impl IvfIndex {
     }
 
     /// Scores one query: ranks the centroids (register-blocked kernel scan
-    /// over the contiguous centroid table), scans lists in rank order until
+    /// over the contiguous centroid table), gathers lists in rank order until
     /// `nprobe` lists are probed *and* `cap` candidates were gathered, and
-    /// appends the bounded selection best-first to `out`. Without `sq8` the
-    /// gathered rows are scored exactly; with it their codes are scanned and
-    /// the approximate top `rerank_factor · cap` exactly re-scored.
-    #[allow(clippy::too_many_arguments)]
+    /// appends the bounded selection best-first to `out`. Flat storage
+    /// scores the gathered rows exactly; SQ8 storage scans their codes and
+    /// exactly re-scores the approximate top `rerank_factor · cap`.
     fn search_row(
         &self,
         query: &[f32],
-        store: &dyn ListStore,
-        sq8: Option<&Sq8Params>,
+        corpus: &EmbeddingTable,
         cap: usize,
         nprobe: usize,
         scratch: &mut IvfScratch,
         out: &mut Vec<Ranked>,
     ) {
-        let dim = store.dim();
+        let dim = corpus.dim();
         scratch.centroid_scores.resize(self.nlist(), 0.0);
         kernel::scan_block(
             query,
@@ -544,30 +384,28 @@ impl IvfIndex {
         // minimum-fill extension can walk it without re-selection.
         scratch.probe_order.sort_unstable_by(|a, b| a.rank_cmp(b));
 
-        match sq8 {
+        // Gather every probed list first (minimum-fill; lists partition the
+        // corpus, so the gathered rows are distinct), then score the union
+        // in one scan. Scores are per-row and the bounded selection runs a
+        // strict total order, so the gather order changes no result bit.
+        scratch.gathered.clear();
+        for (probed, centroid) in scratch.probe_order.iter().enumerate() {
+            if probed >= nprobe && scratch.gathered.len() >= cap {
+                break;
+            }
+            scratch
+                .gathered
+                .extend_from_slice(self.list(centroid.index as usize));
+        }
+
+        match &self.quantized {
             None => {
-                // Gather every probed list first (minimum-fill), then score
-                // the union in ONE store scan. Scores are per-row and the
-                // bounded selection runs a strict total order, so folding the
-                // per-list scans into one changes no result bit — but it lets
-                // the cold (pread) backend sort and coalesce the whole
-                // query's gather into a handful of reads instead of one
-                // sparse span per probed list.
-                scratch.gathered.clear();
-                for (probed, centroid) in scratch.probe_order.iter().enumerate() {
-                    if probed >= nprobe && scratch.gathered.len() >= cap {
-                        break;
-                    }
-                    scratch
-                        .gathered
-                        .extend_from_slice(self.list(centroid.index as usize));
-                }
-                store.prefetch_f32_rows(&scratch.gathered);
                 scratch.list_scores.resize(scratch.gathered.len(), 0.0);
-                store.scan_f32_rows(
+                kernel::scan_gather(
                     query,
+                    corpus.data(),
+                    dim,
                     &scratch.gathered,
-                    &mut scratch.store,
                     &mut scratch.list_scores,
                 );
                 let mut select = TopK::new(cap);
@@ -577,25 +415,14 @@ impl IvfIndex {
                 debug_assert!(select.kept() == cap, "minimum-fill probing must fill rows");
                 out.extend(select.into_sorted());
             }
-            Some(sq8) => {
-                // IVF-SQ: gather the probed rows (minimum-fill like the flat
-                // path — lists partition the corpus, so the gathered rows
-                // are distinct), then run the shared SQ8 selection + exact
-                // re-rank pipeline over them.
-                scratch.gathered.clear();
-                for (probed, centroid) in scratch.probe_order.iter().enumerate() {
-                    if probed >= nprobe && scratch.gathered.len() >= cap {
-                        break;
-                    }
-                    scratch
-                        .gathered
-                        .extend_from_slice(self.list(centroid.index as usize));
-                }
-                store.prefetch_code_rows(&scratch.gathered);
+            Some((quantized, sq8)) => {
+                // IVF-SQ: the shared SQ8 selection + exact re-rank pipeline
+                // over the gathered rows.
                 let rerank = sq8.resolved_rerank(cap, scratch.gathered.len());
                 sq8_select_and_rerank(
                     query,
-                    store,
+                    corpus,
+                    quantized,
                     Some(&scratch.gathered),
                     cap,
                     rerank,
@@ -626,282 +453,83 @@ fn nearest_centroid(row: &[f32], centroids: &EmbeddingTable, scores: &mut [f32])
     best
 }
 
-/// Copies row `row` of `source` into `out`, borrowing zero-copy when the
-/// source allows and staging through `buf` (tracked in `peak`) otherwise.
-fn copy_source_row<S: RowSource + ?Sized>(
-    source: &S,
-    row: usize,
-    out: &mut [f32],
-    buf: &mut Vec<f32>,
-    peak: &mut usize,
-) {
-    if let Some(view) = source.borrow_rows(row, 1) {
-        out.copy_from_slice(view);
-        return;
-    }
-    buf.resize(out.len(), 0.0);
-    *peak = (*peak).max(buf.len() * 4);
-    source.fill_rows(row, buf);
-    out.copy_from_slice(buf);
-}
-
-/// One fused streaming sweep of Lloyd's algorithm: pulls `chunk_rows`-row
-/// chunks from `source`, assigns each row to its nearest centroid (parallel
-/// over fixed [`ROW_TILE`] blocks, order-preserving) and accumulates the
-/// per-cluster sums/counts **sequentially in ascending global row order** —
-/// the same addition sequence a whole-corpus pass performs, so sums are
-/// bit-identical for every chunk size and thread count. When `grid` is set
-/// (the first sweep of an SQ8-bearing build) every row is also fed to the
-/// SQ8 grid fit, ascending.
-#[allow(clippy::too_many_arguments)]
-fn assign_sweep<S: RowSource + ?Sized>(
-    source: &S,
-    chunk_rows: usize,
+/// One fused sweep of Lloyd's algorithm: assigns each corpus row to its
+/// nearest centroid (parallel over fixed [`ROW_TILE`] blocks,
+/// order-preserving) and accumulates the per-cluster sums/counts
+/// **sequentially in ascending row order**, so sums are bit-identical for
+/// every thread count.
+fn assign_sweep(
+    corpus: &EmbeddingTable,
     centroids: &EmbeddingTable,
     assignments: &mut [u32],
     sums: &mut [f32],
     counts: &mut [usize],
-    mut grid: Option<&mut Sq8GridFit>,
-    stage: &mut Vec<f32>,
-    peak: &mut usize,
 ) {
-    let n = source.rows();
-    let dim = source.dim();
+    let n = corpus.rows();
+    let dim = corpus.dim();
     let nlist = centroids.rows();
     sums.fill(0.0);
     counts.fill(0);
-    let mut start = 0usize;
-    while start < n {
-        let count = chunk_rows.min(n - start);
-        let chunk: &[f32] = match source.borrow_rows(start, count) {
-            Some(view) => view,
-            None => {
-                stage.resize(count * dim, 0.0);
-                *peak = (*peak).max(stage.len() * 4);
-                source.fill_rows(start, stage);
-                stage
-            }
-        };
-        if let Some(fit) = grid.as_deref_mut() {
-            for r in 0..count {
-                fit.update_row(&chunk[r * dim..(r + 1) * dim]);
-            }
+    let tile_starts: Vec<usize> = (0..n).step_by(ROW_TILE).collect();
+    let tiles: Vec<Vec<u32>> = tile_starts
+        .par_iter()
+        .map(|&tile| {
+            let end = (tile + ROW_TILE).min(n);
+            let mut scores = vec![0.0f32; nlist];
+            (tile..end)
+                .map(|row| nearest_centroid(corpus.row(row), centroids, &mut scores))
+                .collect()
+        })
+        .collect();
+    for (&tile, tile_assign) in tile_starts.iter().zip(&tiles) {
+        assignments[tile..tile + tile_assign.len()].copy_from_slice(tile_assign);
+    }
+    for (r, &c) in assignments.iter().enumerate() {
+        let base = c as usize * dim;
+        for (acc, &v) in sums[base..base + dim].iter_mut().zip(corpus.row(r)) {
+            *acc += v;
         }
-        let tile_starts: Vec<usize> = (0..count).step_by(ROW_TILE).collect();
-        let tiles: Vec<Vec<u32>> = tile_starts
-            .par_iter()
-            .map(|&tile| {
-                let end = (tile + ROW_TILE).min(count);
-                let mut scores = vec![0.0f32; nlist];
-                (tile..end)
-                    .map(|row| {
-                        nearest_centroid(&chunk[row * dim..(row + 1) * dim], centroids, &mut scores)
-                    })
-                    .collect()
-            })
-            .collect();
-        let chunk_assign = &mut assignments[start..start + count];
-        for (&tile, tile_assign) in tile_starts.iter().zip(&tiles) {
-            chunk_assign[tile..tile + tile_assign.len()].copy_from_slice(tile_assign);
-        }
-        for (r, &c) in chunk_assign.iter().enumerate() {
-            let base = c as usize * dim;
-            for (acc, &v) in sums[base..base + dim]
-                .iter_mut()
-                .zip(&chunk[r * dim..(r + 1) * dim])
-            {
-                *acc += v;
-            }
-            counts[c as usize] += 1;
-        }
-        start += count;
+        counts[c as usize] += 1;
     }
 }
 
-/// Deterministic k-means++ seeding over a streamed source: after a uniform
-/// first pick, each further seed is drawn with probability proportional to
-/// the row's cosine distance `max(0, 1 − clamp(dot, −1, 1))` to its nearest
-/// already-chosen seed (one sweep per seed keeps the per-row minimum up to
-/// date against the newest seed only). The sampling walk accumulates the f64
-/// cumulative mass in ascending row order, so the choice is bit-reproducible
-/// for any chunk size and thread count. NaN rows get distance 0 (never
-/// sampled while any finite mass remains); if the total mass hits 0 the pick
-/// falls back to uniform.
-#[allow(clippy::too_many_arguments)]
-fn seed_kmeanspp<S: RowSource + ?Sized>(
-    source: &S,
-    chunk_rows: usize,
-    nlist: usize,
-    rng: &mut ChaCha8Rng,
-    centroids: &mut EmbeddingTable,
-    stage: &mut Vec<f32>,
-    peak: &mut usize,
-    passes: &mut usize,
-) {
-    let n = source.rows();
-    let dim = source.dim();
-    let mut row_buf = Vec::new();
-    // O(rows) like the assignment vector itself; not chunk-scaled staging.
-    let mut best = vec![f32::INFINITY; n];
-    let mut scores = Vec::new();
-    let mut pick = rng.gen_range(0..n);
-    copy_source_row(source, pick, centroids.row_mut(0), &mut row_buf, peak);
-    best[pick] = 0.0;
-    for c in 1..nlist {
-        let prev = centroids.row(c - 1).to_vec();
-        let mut start = 0usize;
-        while start < n {
-            let count = chunk_rows.min(n - start);
-            let chunk: &[f32] = match source.borrow_rows(start, count) {
-                Some(view) => view,
-                None => {
-                    stage.resize(count * dim, 0.0);
-                    source.fill_rows(start, stage);
-                    stage
-                }
-            };
-            scores.resize(count, 0.0);
-            *peak = (*peak).max(stage.len() * 4 + scores.len() * 4);
-            kernel::scan_block(&prev, chunk, dim, &mut scores);
-            for (r, &raw) in scores.iter().enumerate() {
-                let d = (1.0 - raw.clamp(-1.0, 1.0)).max(0.0);
-                let slot = &mut best[start + r];
-                if d < *slot {
-                    *slot = d;
-                }
-            }
-            start += count;
-        }
-        *passes += 1;
-        let total: f64 = best.iter().map(|&d| f64::from(d)).sum();
-        pick = if total > 0.0 {
-            let t = rng.gen::<f64>() * total;
-            let mut cum = 0.0f64;
-            let mut chosen = n - 1;
-            for (row, &d) in best.iter().enumerate() {
-                cum += f64::from(d);
-                if cum > t {
-                    chosen = row;
-                    break;
-                }
-            }
-            chosen
-        } else {
-            rng.gen_range(0..n)
-        };
-        best[pick] = 0.0;
-        copy_source_row(source, pick, centroids.row_mut(c), &mut row_buf, peak);
-    }
-}
-
-/// What [`train_streaming`] produced: the trained centroids, the final
-/// per-row assignments, and the sweep/staging accounting the callers fold
-/// into their [`StreamingStats`].
-pub(crate) struct StreamingTrain {
-    pub(crate) centroids: EmbeddingTable,
-    pub(crate) assignments: Vec<u32>,
-    pub(crate) passes: usize,
-    pub(crate) peak_staging_bytes: usize,
-}
-
-impl StreamingTrain {
-    /// The degenerate training an empty corpus gets: no centroids, no
-    /// assignments, no sweeps — the same shape [`IvfIndex::build`] constructs
-    /// for `n == 0`.
-    pub(crate) fn empty(dim: usize) -> Self {
-        Self {
-            centroids: EmbeddingTable::zeros(0, dim),
-            assignments: Vec::new(),
-            passes: 0,
-            peak_staging_bytes: 0,
-        }
-    }
-}
-
-/// Streaming spherical k-means: seeds per [`IvfParams::seeding`], then fused
-/// Lloyd iterations — each iteration is ONE sweep over the source that
-/// assigns rows and accumulates the next centroid sums simultaneously, so a
-/// converged training costs `iters + 1` sweeps total. Produces bit-identical
-/// centroids and assignments to the materialised build for every chunk size
-/// (the fusion only reorders *when* sums are computed, never the addition
-/// sequence itself; `prop_streaming.rs` pins the equivalence transitively
-/// through container byte-identity).
+/// Seeded spherical k-means over the rows of `corpus`: a ChaCha8 shuffle of
+/// the row indexes picks `nlist` distinct seed rows, then fused Lloyd
+/// iterations run — each iteration is ONE sweep that assigns rows and
+/// accumulates the next centroid sums simultaneously, so a converged
+/// training costs `iters + 1` sweeps total. Returns the centroids and the
+/// final per-row assignments.
 ///
-/// `grid` (when building an SQ8-bearing container) is fed every row exactly
-/// once, during the first sweep, in ascending row order.
-///
-/// Callers guarantee `n > 0` and `resolved_nlist(n) > 0`.
-pub(crate) fn train_streaming<S: RowSource + ?Sized>(
-    source: &S,
+/// Callers guarantee `corpus.rows() > 0` and `resolved_nlist(n) > 0`.
+pub(crate) fn train_kmeans(
+    corpus: &EmbeddingTable,
     params: &IvfParams,
-    chunk_rows: usize,
-    grid: Option<&mut Sq8GridFit>,
-) -> StreamingTrain {
-    let n = source.rows();
-    let dim = source.dim();
+) -> (EmbeddingTable, Vec<u32>) {
+    let n = corpus.rows();
+    let dim = corpus.dim();
     let nlist = params.resolved_nlist(n);
-    assert!(
-        n > 0 && nlist > 0,
-        "train_streaming needs a non-empty corpus"
-    );
-    let chunk_rows = chunk_rows.clamp(1, n);
+    assert!(n > 0 && nlist > 0, "train_kmeans needs a non-empty corpus");
 
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-    let mut stage = Vec::new();
-    let mut peak = 0usize;
-    let mut passes = 0usize;
     let mut centroids = EmbeddingTable::zeros(nlist, dim);
-    match params.seeding {
-        IvfSeeding::Shuffle => {
-            // A ChaCha8 shuffle of the row indexes picks `nlist` distinct
-            // seed rows — deterministic for a given seed, and identical to
-            // the historical materialised initialisation.
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            perm.shuffle(&mut rng);
-            let mut row_buf = Vec::new();
-            for (c, &row) in perm[..nlist].iter().enumerate() {
-                copy_source_row(
-                    source,
-                    row as usize,
-                    centroids.row_mut(c),
-                    &mut row_buf,
-                    &mut peak,
-                );
-            }
-        }
-        IvfSeeding::KmeansPlusPlus => seed_kmeanspp(
-            source,
-            chunk_rows,
-            nlist,
-            &mut rng,
-            &mut centroids,
-            &mut stage,
-            &mut peak,
-            &mut passes,
-        ),
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.shuffle(&mut rng);
+    for (c, &row) in perm[..nlist].iter().enumerate() {
+        centroids
+            .row_mut(c)
+            .copy_from_slice(corpus.row(row as usize));
     }
 
     // Fused Lloyd loop: sweep 0 assigns against the seeds and accumulates
     // their cluster sums; every iteration first folds those sums into new
     // centroids, then runs one fused assign+accumulate sweep against them.
     // This reproduces the classic "sums from assignments, update, reassign"
-    // sequence exactly — with one source pass per iteration instead of two.
+    // sequence exactly — with one corpus pass per iteration instead of two.
     let mut assignments = vec![0u32; n];
     let mut prev = vec![0u32; n];
     let mut sums = vec![0.0f32; nlist * dim];
     let mut counts = vec![0usize; nlist];
-    assign_sweep(
-        source,
-        chunk_rows,
-        &centroids,
-        &mut assignments,
-        &mut sums,
-        &mut counts,
-        grid,
-        &mut stage,
-        &mut peak,
-    );
-    passes += 1;
+    assign_sweep(corpus, &centroids, &mut assignments, &mut sums, &mut counts);
     for _ in 0..params.kmeans_iters {
         for (c, &count) in counts.iter().enumerate() {
             if count == 0 {
@@ -912,36 +540,19 @@ pub(crate) fn train_streaming<S: RowSource + ?Sized>(
             vector::normalize(mean); // spherical k-means re-projection
             centroids.row_mut(c).copy_from_slice(mean);
         }
-        assign_sweep(
-            source,
-            chunk_rows,
-            &centroids,
-            &mut prev,
-            &mut sums,
-            &mut counts,
-            None,
-            &mut stage,
-            &mut peak,
-        );
-        passes += 1;
+        assign_sweep(corpus, &centroids, &mut prev, &mut sums, &mut counts);
         let converged = prev == assignments;
         std::mem::swap(&mut assignments, &mut prev);
         if converged {
             break;
         }
     }
-
-    StreamingTrain {
-        centroids,
-        assignments,
-        passes,
-        peak_staging_bytes: peak,
-    }
+    (centroids, assignments)
 }
 
 /// CSR inverted lists from per-row centroid assignments; filling rows in
 /// ascending order per list keeps the stable-fill deterministic (lists
-/// ascend, which the coalesced gather path also relies on).
+/// ascend).
 pub(crate) fn csr_from_assignments(assignments: &[u32], nlist: usize) -> (Vec<u32>, Vec<u32>) {
     let mut counts = vec![0u32; nlist];
     for &c in assignments {
@@ -1003,23 +614,6 @@ pub(crate) fn csr_from_assignments(assignments: &[u32], nlist: usize) -> (Vec<u3
 /// });
 /// # let _ = (bandwidth_bound, largest);
 /// ```
-///
-/// Only the two engines that own segments choose where their row panels
-/// live: `Sharded` and `Lsm` can keep each segment in an on-disk container
-/// ([`StoreBacking::Mapped`]), searched through the mapped store with
-/// bit-identical results. For corpora that never fit in RAM, build +
-/// [`IvfIndex::save`] once and serve queries from
-/// [`crate::MappedIndex::open`], where only centroids, CSR offsets and the
-/// SQ8 grid stay resident.
-///
-/// ```
-/// use ea_embed::{CandidateSearch, LsmParams, MappedOptions, StoreBacking};
-/// let out_of_core = CandidateSearch::Lsm(LsmParams {
-///     backing: StoreBacking::Mapped(MappedOptions::default()),
-///     ..LsmParams::default()
-/// });
-/// assert_eq!(out_of_core.name(), "lsm-ivf-mapped");
-/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CandidateSearch {
     /// The exact blocked scan — every source row against every target row.
@@ -1036,12 +630,11 @@ pub enum CandidateSearch {
     /// dots (subset-only approximation, like IVF).
     Sq8(Sq8Params),
     /// The sharded scatter-gather engine ([`crate::ShardedIndex`]): the
-    /// corpus splits into independently built per-shard IVF engines
-    /// (resident, or per-shard on-disk containers per
-    /// [`ShardParams::backing`]), a router ranks shards by
-    /// centroid proximity, and per-shard partial top-k lists are
-    /// deterministically merged — bit-identical to a single-shard build
-    /// when every shard is routed, subset-only below that.
+    /// corpus splits into independently built per-shard IVF engines, a
+    /// router ranks shards by centroid proximity, and per-shard partial
+    /// top-k lists are deterministically merged — bit-identical to a
+    /// single-shard build when every shard is routed, subset-only below
+    /// that.
     Sharded(ShardParams),
     /// The LSM-style mutable engine ([`crate::MutableIndex`]): immutable
     /// sealed segments plus an exact-scanned in-memory tail, tombstone
@@ -1081,28 +674,22 @@ impl std::fmt::Display for EnvOverrideError {
 impl std::error::Error for EnvOverrideError {}
 
 /// Every non-empty `EXEA_CANDIDATE_SEARCH` value: the grammar `exact`,
-/// `sq8`, `{ivf|ivf-sq8}` and `{sharded-|lsm-}{ivf|ivf-sq8}[-mapped]`
-/// spelled out, because [`CandidateSearch::name`] hands out `&'static str`.
-const OVERRIDE_VALUES: [&str; 12] = [
+/// `sq8` and `[sharded-|lsm-]{ivf|ivf-sq8}` spelled out, because
+/// [`CandidateSearch::name`] hands out `&'static str`.
+const OVERRIDE_VALUES: [&str; 8] = [
     "exact",
     "sq8",
     "ivf",
     "ivf-sq8",
     "sharded-ivf",
     "sharded-ivf-sq8",
-    "sharded-ivf-mapped",
-    "sharded-ivf-sq8-mapped",
     "lsm-ivf",
     "lsm-ivf-sq8",
-    "lsm-ivf-mapped",
-    "lsm-ivf-sq8-mapped",
 ];
 
 /// Accepted `EXEA_CANDIDATE_SEARCH` values, for error messages.
-const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}, with -mapped only \
-     after a layer prefix, exact or sq8: exact, sq8, ivf, ivf-sq8, \
-     sharded-ivf, sharded-ivf-sq8, sharded-ivf-mapped, sharded-ivf-sq8-mapped, \
-     lsm-ivf, lsm-ivf-sq8, lsm-ivf-mapped, lsm-ivf-sq8-mapped";
+const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}, exact or sq8: \
+     exact, sq8, ivf, ivf-sq8, sharded-ivf, sharded-ivf-sq8, lsm-ivf, lsm-ivf-sq8";
 
 impl CandidateSearch {
     /// The default strategy honouring the `EXEA_CANDIDATE_SEARCH`
@@ -1110,9 +697,7 @@ impl CandidateSearch {
     /// (prediction, repair, verification, anchor mining) on an approximate
     /// engine end to end. Recognised values compose as
     /// `[sharded-|lsm-]{ivf|ivf-sq8}`, plus `exact` and `sq8`, each with
-    /// default parameters: `ivf-sq8` is IVF with SQ8 list storage;
-    /// `-mapped`, allowed only after a layer prefix, keeps every segment in
-    /// an on-disk container searched through the mapped store; `sharded-`
+    /// default parameters: `ivf-sq8` is IVF with SQ8 list storage; `sharded-`
     /// runs the IVF engine per shard (default [`ShardParams`]: auto shard
     /// count, every shard routed) and `lsm-` per sealed segment (default
     /// [`LsmParams`]: 512-row seal budget, exhaustive per-segment probing).
@@ -1165,17 +750,10 @@ impl CandidateSearch {
         if value.is_empty() {
             return Some(CandidateSearch::Exact);
         }
-        let (rest, backing) = match value.strip_suffix("-mapped") {
-            Some(rest) => (rest, StoreBacking::Mapped(MappedOptions::default())),
-            None => (value, StoreBacking::InMemory),
-        };
         let (layer, engine) = ["sharded-", "lsm-"]
             .into_iter()
-            .find_map(|layer| Some((layer, rest.strip_prefix(layer)?)))
-            .unwrap_or(("", rest));
-        if layer.is_empty() && backing != StoreBacking::InMemory {
-            return None;
-        }
+            .find_map(|layer| Some((layer, value.strip_prefix(layer)?)))
+            .unwrap_or(("", value));
         let storage = match engine {
             "ivf" => IvfListStorage::Flat,
             "ivf-sq8" => IvfListStorage::Sq8(Sq8Params::default()),
@@ -1189,7 +767,6 @@ impl CandidateSearch {
                 let base = ShardParams::default();
                 CandidateSearch::Sharded(ShardParams {
                     ivf: with(base.ivf),
-                    backing,
                     ..base
                 })
             }
@@ -1197,7 +774,6 @@ impl CandidateSearch {
                 let base = LsmParams::default();
                 CandidateSearch::Lsm(LsmParams {
                     ivf: with(base.ivf),
-                    backing,
                     ..base
                 })
             }
@@ -1205,21 +781,20 @@ impl CandidateSearch {
         })
     }
 
-    /// This strategy's `(layer prefix, engine, backing)` in the override
-    /// grammar.
-    fn grammar_parts(&self) -> (&'static str, &'static str, &StoreBacking) {
-        let (layer, ivf, backing) = match self {
-            CandidateSearch::Exact => return ("", "exact", &StoreBacking::InMemory),
-            CandidateSearch::Sq8(_) => return ("", "sq8", &StoreBacking::InMemory),
-            CandidateSearch::Ivf(params) => ("", params, &StoreBacking::InMemory),
-            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf, &params.backing),
-            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf, &params.backing),
+    /// This strategy's `(layer prefix, engine)` in the override grammar.
+    fn grammar_parts(&self) -> (&'static str, &'static str) {
+        let (layer, ivf) = match self {
+            CandidateSearch::Exact => return ("", "exact"),
+            CandidateSearch::Sq8(_) => return ("", "sq8"),
+            CandidateSearch::Ivf(params) => ("", params),
+            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf),
+            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf),
         };
         let engine = match ivf.storage {
             IvfListStorage::Flat => "ivf",
             IvfListStorage::Sq8(_) => "ivf-sq8",
         };
-        (layer, engine, backing)
+        (layer, engine)
     }
 
     /// One directed pass of this strategy's one-shot build: the top-`cap`
@@ -1241,9 +816,8 @@ impl CandidateSearch {
             }
             CandidateSearch::Sq8(params) => {
                 let quantized = QuantizedTable::build(&corpus.norm);
-                let store = InMemory::with_codes(&corpus.norm, &quantized);
                 let rerank = params.resolved_rerank(cap, corpus.norm.rows());
-                sq8_topk_flat(&queries.norm, &store, cap, rerank)
+                sq8_topk_flat(&queries.norm, &corpus.norm, &quantized, cap, rerank)
             }
             CandidateSearch::Sharded(params) => {
                 let index = ShardedIndex::build(&corpus.norm, params);
@@ -1256,19 +830,10 @@ impl CandidateSearch {
     /// Short human-readable strategy label for logs and bench tables: the
     /// strategy's `EXEA_CANDIDATE_SEARCH` spelling.
     pub fn name(&self) -> &'static str {
-        let (layer, engine, backing) = self.grammar_parts();
-        let suffix = match backing {
-            StoreBacking::InMemory => "",
-            StoreBacking::Mapped(_) => "-mapped",
-        };
+        let (layer, engine) = self.grammar_parts();
         OVERRIDE_VALUES
             .into_iter()
-            .find(|value| {
-                value
-                    .strip_prefix(layer)
-                    .and_then(|rest| rest.strip_suffix(suffix))
-                    == Some(engine)
-            })
+            .find(|value| value.strip_prefix(layer) == Some(engine))
             .expect("every strategy spells a grammar value")
     }
 
@@ -1343,12 +908,8 @@ mod tests {
             "ivf-sq8",
             "sharded-ivf",
             "sharded-ivf-sq8",
-            "sharded-ivf-mapped",
-            "sharded-ivf-sq8-mapped",
             "lsm-ivf",
             "lsm-ivf-sq8",
-            "lsm-ivf-mapped",
-            "lsm-ivf-sq8-mapped",
         ] {
             let search = CandidateSearch::from_env_value(Some(value)).unwrap();
             if !value.is_empty() {
@@ -1364,8 +925,8 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("EXEA_CANDIDATE_SEARCH"), "got: {msg}");
         assert!(msg.contains("\"ivff\""), "got: {msg}");
-        assert!(msg.contains("sharded-ivf-sq8-mapped"), "got: {msg}");
-        assert!(msg.contains("lsm-ivf-sq8-mapped"), "got: {msg}");
+        assert!(msg.contains("sharded-ivf-sq8"), "got: {msg}");
+        assert!(msg.contains("lsm-ivf-sq8"), "got: {msg}");
     }
 
     #[test]
@@ -1397,12 +958,7 @@ mod tests {
 
     #[test]
     fn sharded_override_values_parse_strictly() {
-        for (value, mapped, sq8) in [
-            ("sharded-ivf", false, false),
-            ("sharded-ivf-sq8", false, true),
-            ("sharded-ivf-mapped", true, false),
-            ("sharded-ivf-sq8-mapped", true, true),
-        ] {
+        for (value, sq8) in [("sharded-ivf", false), ("sharded-ivf-sq8", true)] {
             let parsed = CandidateSearch::parse_override(value)
                 .unwrap_or_else(|| panic!("{value} must parse"));
             assert_eq!(parsed.name(), value);
@@ -1412,7 +968,6 @@ mod tests {
             // Defaults keep the override validation-safe: auto shard count,
             // every shard routed — bit-identical to the unsharded engine.
             assert_eq!((params.nshards, params.route_shards), (0, 0));
-            assert_eq!(matches!(params.backing, StoreBacking::Mapped(_)), mapped);
             assert_eq!(matches!(params.ivf.storage, IvfListStorage::Sq8(_)), sq8);
         }
         for typo in ["sharded", "sharded-sq8", "sharded-exact", "ivf-sharded"] {
@@ -1422,12 +977,7 @@ mod tests {
 
     #[test]
     fn lsm_override_values_parse_strictly() {
-        for (value, mapped, sq8) in [
-            ("lsm-ivf", false, false),
-            ("lsm-ivf-sq8", false, true),
-            ("lsm-ivf-mapped", true, false),
-            ("lsm-ivf-sq8-mapped", true, true),
-        ] {
+        for (value, sq8) in [("lsm-ivf", false), ("lsm-ivf-sq8", true)] {
             let parsed = CandidateSearch::parse_override(value)
                 .unwrap_or_else(|| panic!("{value} must parse"));
             let CandidateSearch::Lsm(params) = &parsed else {
@@ -1438,11 +988,6 @@ mod tests {
             // probing, so the engine is bit-identical to the exact scan.
             assert_eq!(params.ivf.nprobe, usize::MAX, "{value}");
             assert_eq!(params.seal_rows, LsmParams::default().seal_rows);
-            assert_eq!(
-                matches!(params.backing, StoreBacking::Mapped(_)),
-                mapped,
-                "{value}"
-            );
             assert_eq!(
                 matches!(params.ivf.storage, IvfListStorage::Sq8(_)),
                 sq8,
@@ -1468,16 +1013,26 @@ mod tests {
             assert!(message.contains(value), "{value} missing from: {message}");
         }
         // Off-grammar combinations of otherwise valid parts must not
-        // silently fall back to Exact either. `-mapped` needs a layer
-        // prefix: only the sharded and LSM engines own segments to map.
-        for typo in ["ivf-mapped", "ivf-sq8-mapped", "sq8-mapped"] {
+        // silently fall back to Exact either. No engine takes a `-mapped`
+        // suffix: the out-of-core segment backing is gone, so its four
+        // former spellings are typos like any other.
+        for typo in [
+            "ivf-mapped",
+            "ivf-sq8-mapped",
+            "sq8-mapped",
+            "sharded-ivf-mapped",
+            "sharded-ivf-sq8-mapped",
+            "lsm-ivf-mapped",
+            "lsm-ivf-sq8-mapped",
+        ] {
             let err = CandidateSearch::from_env_value(Some(typo)).unwrap_err();
             assert_eq!(
                 (err.var, err.value.as_str()),
                 ("EXEA_CANDIDATE_SEARCH", typo)
             );
         }
-        assert_eq!(OVERRIDE_VALUES.len(), 12);
+        assert!(!message.contains("mapped"), "{message}");
+        assert_eq!(OVERRIDE_VALUES.len(), 8);
         for typo in [
             "ivf-mapped",
             "ivf-sq8-mapped",

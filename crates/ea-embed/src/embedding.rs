@@ -27,11 +27,10 @@ impl EmbeddingTable {
     }
 
     /// Wraps an existing row-major buffer (`rows * dim` values) as a table —
-    /// the deserialisation path of the on-disk candidate store.
+    /// how the shard and LSM segments own the rows they gathered.
     ///
     /// # Panics
-    /// Panics if `data.len() != rows * dim`; the storage loader validates
-    /// section lengths (with typed errors) before calling this.
+    /// Panics if `data.len() != rows * dim`.
     pub(crate) fn from_data(rows: usize, dim: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * dim, "row-major buffer length mismatch");
         Self { rows, dim, data }
@@ -128,9 +127,8 @@ impl EmbeddingTable {
     }
 
     /// Writes the L2-normalised copy of row `src` into `out` — the per-row
-    /// kernel behind [`Self::gather_normalized`], exposed so the streaming
-    /// container builder can normalise one bounded chunk at a time with
-    /// bit-identical results to the materialised gather.
+    /// kernel behind [`Self::gather_normalized`], exposed so callers can
+    /// normalise single rows with bit-identical results to the gather.
     ///
     /// Rows with numerically zero norm (`<= f32::EPSILON`) come out
     /// all-zero, matching the [`vector::cosine`] degenerate-embedding

@@ -46,12 +46,9 @@
 //!   partials through a [`topk::TopK`] selects bit for bit what one global
 //!   selector over the union would.
 //! * `segment` (crate-private) — the one segment layer the next two modules
-//!   share: a segment is an immutable IVF engine over a fixed row set,
-//!   resident or an on-disk container (whose IVF state is checked once, at
-//!   open) as the owning engine's [`StoreBacking`] says — only the sharded
-//!   and LSM engines choose where row panels live — and one gather folds
-//!   per-segment partial lists through [`topk::TopK::merge`] in fixed query
-//!   tiles.
+//!   share: a segment is an immutable, resident IVF engine over a fixed row
+//!   set, and one gather folds per-segment partial lists through
+//!   [`topk::TopK::merge`] in fixed query tiles.
 //! * [`shard`] — horizontal scale-out = segments + a clustered partition +
 //!   a centroid router: [`ShardedIndex`] splits the corpus into N
 //!   independently built segments, a [`ShardRouter`] ranks shards by
@@ -66,16 +63,10 @@
 //!   the live corpus ([`CandidateSearch::Lsm`]), so inserts and deletes no
 //!   longer force a full rebuild.
 //! * [`order`] — NaN-safe total-order comparators every ranking sorts with.
-//! * [`storage`] — the out-of-core candidate store: a versioned, checksummed
-//!   on-disk container for IVF lists, SQ8 code panels and the normalised f32
-//!   rows, read back through an mmap'd (or buffered-pread) [`MappedStore`].
-//!   The [`ListStore`] trait lets [`IvfIndex::search`] and
-//!   [`QuantizedTable::search`] gather rows from RAM or disk with
-//!   bit-identical results, so the pre-filter keeps working when the target
-//!   embedding table itself no longer fits in memory. Build and save a
-//!   container once ([`IvfIndex::save`], [`save_ivf_streaming`]) and serve
-//!   it with [`MappedIndex::open`]; the one-shot [`CandidateSearch`] paths
-//!   reach disk only through mapped sharded or LSM segments.
+//!
+//! Every engine searches resident `f32` panels: the corpora this
+//! reproduction aligns (about 15K entities a side) fit in RAM many times
+//! over.
 //!
 //! The crate is deliberately framework-free: no BLAS, no autograd. Gradients
 //! of the margin-based losses used by the models are simple enough to write
@@ -101,11 +92,10 @@ pub mod sampling;
 mod segment;
 pub mod shard;
 pub mod similarity;
-pub mod storage;
 pub mod topk;
 pub mod vector;
 
-pub use ann::{CandidateSearch, EnvOverrideError, IvfIndex, IvfListStorage, IvfParams, IvfSeeding};
+pub use ann::{CandidateSearch, EnvOverrideError, IvfIndex, IvfListStorage, IvfParams};
 pub use candidates::CandidateIndex;
 pub use embedding::EmbeddingTable;
 pub use lsm::{LsmParams, MutableIndex};
@@ -114,8 +104,3 @@ pub use quantized::{QuantizedTable, Sq8Params};
 pub use sampling::{HardNegativeCache, NegativeSampler, Negatives};
 pub use shard::{ShardParams, ShardPartition, ShardRouter, ShardedIndex};
 pub use similarity::{greedy_alignment, select_top_k_by, top_k_targets, SimilarityMatrix};
-pub use storage::{
-    mapped_backend_from_env, save_ivf_streaming, save_sq8_streaming, InMemory, ListStore,
-    MappedIndex, MappedOptions, MappedStore, NormalizedRows, OpenOptions, RowSource, StorageError,
-    StoreBacking, StoreScratch, StreamingStats, TableRows, DEFAULT_CHUNK_ROWS,
-};

@@ -8,11 +8,8 @@
 //! masks:
 //!
 //! * **Sealed segments** — immutable per-segment engines over earlier rows:
-//!   a resident [`IvfIndex`](crate::IvfIndex) or, per
-//!   [`LsmParams::backing`], an on-disk candidate container written by the
-//!   streaming builder and served through the mapped store. Exactly the
-//!   single-container engine the property suites pin, over a subset of the
-//!   live rows.
+//!   the rows plus an [`IvfIndex`](crate::IvfIndex) over them. Exactly the
+//!   single engine the property suites pin, over a subset of the live rows.
 //! * **The mutable segment** — a small in-memory tail of recently inserted
 //!   rows, normalised once on insert and scanned *exactly* with the shared
 //!   [`crate::kernel`] (clamped bit-exact dots, like every engine).
@@ -38,16 +35,15 @@
 //! subset-only, scores always bit-exact).
 //!
 //! When the mutable segment reaches [`LsmParams::seal_rows`] buffered rows
-//! it is sealed through the streaming container builder
-//! ([`crate::save_ivf_streaming`] semantics — mapped backing) or a resident
-//! build. [`MutableIndex::compact`] folds all sealed segments + tombstones
-//! into one re-clustered segment: live rows are gathered in ascending
-//! (segment id, local row) order and rebuilt with the seeded ChaCha8
-//! k-means, so the output container is **byte-identical** (checksums
-//! included) for a given (input segments, seed) regardless of when — or on
-//! how many threads — it runs. Compaction is synchronous and caller-driven:
-//! nothing in this module reads a clock, so *when* to compact is policy the
-//! caller owns (`exea-serve` compacts on a segment-count threshold).
+//! it is sealed into a new segment. [`MutableIndex::compact`] folds all
+//! sealed segments + tombstones into one re-clustered segment: live rows
+//! are gathered in ascending (segment id, local row) order and rebuilt with
+//! the seeded ChaCha8 k-means, so the output segment is a pure function of
+//! (input segments, seed) regardless of when — or on how many threads — it
+//! runs. Seals and compactions cannot fail. Compaction is synchronous and
+//! caller-driven: nothing in this module reads a clock, so *when* to
+//! compact is policy the caller owns (`exea-serve` compacts on a
+//! segment-count threshold).
 //!
 //! [`CandidateSearch::Lsm`](crate::CandidateSearch::Lsm) threads the engine
 //! through the one-shot candidate path (`EXEA_CANDIDATE_SEARCH=lsm-*`), so
@@ -58,7 +54,6 @@ use crate::candidates::Side;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::segment::{self, SegmentStore};
-use crate::storage::{StorageError, StoreBacking, TableRows};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
 use rayon::prelude::*;
@@ -66,9 +61,6 @@ use std::collections::HashMap;
 
 /// Default row budget of the mutable segment before it is sealed.
 const DEFAULT_SEAL_ROWS: usize = 512;
-
-/// Rows per bounded chunk when streaming sealed rows back for compaction.
-const COMPACT_CHUNK_ROWS: usize = 4096;
 
 /// Tuning knobs of the LSM engine.
 ///
@@ -89,11 +81,6 @@ pub struct LsmParams {
     /// row count; `seed` drives the ChaCha8 k-means of seals and
     /// compactions.
     pub ivf: IvfParams,
-    /// Where each sealed segment's row panels (and SQ8 codes) live:
-    /// resident, or a per-segment on-disk container searched through the
-    /// mapped store, removed when the segment drops. Results are
-    /// bit-identical either way.
-    pub backing: StoreBacking,
 }
 
 impl Default for LsmParams {
@@ -101,7 +88,6 @@ impl Default for LsmParams {
         Self {
             seal_rows: DEFAULT_SEAL_ROWS,
             ivf: IvfParams::exhaustive(),
-            backing: StoreBacking::InMemory,
         }
     }
 }
@@ -137,17 +123,13 @@ struct Segment {
 
 impl Segment {
     /// A segment over `table`'s rows, all live, built per `params`.
-    fn build(
-        table: &EmbeddingTable,
-        entities: Vec<u32>,
-        params: &LsmParams,
-    ) -> Result<Segment, StorageError> {
-        Ok(Segment {
+    fn build(table: EmbeddingTable, entities: Vec<u32>, params: &LsmParams) -> Segment {
+        Segment {
             alive: vec![true; entities.len()],
             dead: 0,
             entities,
-            store: SegmentStore::build(&TableRows::new(table), &params.ivf, &params.backing)?,
-        })
+            store: SegmentStore::build(table, &params.ivf),
+        }
     }
 
     fn rows(&self) -> usize {
@@ -159,22 +141,14 @@ impl Segment {
     }
 
     /// Appends this segment's live rows (ascending local order, the
-    /// canonical order) to `data`/`entities` — the compaction gather,
-    /// streamed back in bounded chunks.
-    fn gather_live(&self, dim: usize, data: &mut Vec<f32>, entities: &mut Vec<u32>) {
-        let mut chunk = vec![0.0f32; COMPACT_CHUNK_ROWS.min(self.rows().max(1)) * dim];
-        let mut start = 0usize;
-        while start < self.rows() {
-            let take = COMPACT_CHUNK_ROWS.min(self.rows() - start);
-            self.store.read_rows(start, &mut chunk[..take * dim]);
-            for local in start..start + take {
-                if self.alive[local] {
-                    let rel = (local - start) * dim;
-                    data.extend_from_slice(&chunk[rel..rel + dim]);
-                    entities.push(self.entities[local]);
-                }
+    /// canonical order) to `data`/`entities` — the compaction gather.
+    fn gather_live(&self, data: &mut Vec<f32>, entities: &mut Vec<u32>) {
+        let table = self.store.table();
+        for (local, &alive) in self.alive.iter().enumerate() {
+            if alive {
+                data.extend_from_slice(table.row(local));
+                entities.push(self.entities[local]);
             }
-            start += take;
         }
     }
 }
@@ -271,7 +245,7 @@ impl MutableIndex {
         &self.params
     }
 
-    /// Heap bytes the index keeps resident (mapped segment panels excluded).
+    /// Heap bytes the index keeps for searching.
     pub fn resident_bytes(&self) -> usize {
         self.mem.data.len() * 4
             + self.mem.entities.len() * 5
@@ -280,23 +254,6 @@ impl MutableIndex {
                 .iter()
                 .map(|seg| seg.entities.len() * 5 + seg.store.resident_bytes())
                 .sum::<usize>()
-    }
-
-    /// Container bytes of the mapped sealed segments (0 when resident).
-    pub fn stored_bytes(&self) -> u64 {
-        self.sealed.iter().map(|seg| seg.store.stored_bytes()).sum()
-    }
-
-    /// Container paths of the mapped sealed segments, ascending segment id
-    /// (empty under a resident backing). Ops/test introspection, like
-    /// [`MutableIndex::stored_bytes`]: the byte-determinism suite reads the
-    /// compacted container back through this, and an operator can check
-    /// which spill files a live index pins.
-    pub fn segment_paths(&self) -> Vec<&std::path::Path> {
-        self.sealed
-            .iter()
-            .filter_map(|seg| seg.store.spill_path())
-            .collect()
     }
 
     /// Shadows any current live row of `entity` (marks it dead in whichever
@@ -327,15 +284,11 @@ impl MutableIndex {
     ///
     /// A previous row of the same entity (any segment) is shadowed. When
     /// the mutable segment reaches the seal budget it is sealed; the
-    /// returned flag says whether that happened. A seal failure (spill
-    /// I/O) leaves the index exactly as before this insert's seal attempt:
-    /// the row is already buffered and live, only the seal is pending (the
-    /// next reaching insert, or an explicit [`MutableIndex::seal`],
-    /// retries).
+    /// returned flag says whether that happened.
     ///
     /// # Panics
     /// Panics if `row.len() != self.dim()`.
-    pub fn insert(&mut self, entity: u32, row: &[f32]) -> Result<bool, StorageError> {
+    pub fn insert(&mut self, entity: u32, row: &[f32]) -> bool {
         assert_eq!(row.len(), self.dim, "row length mismatch");
         self.shadow(entity);
         let local = self.mem.rows() as u32;
@@ -346,10 +299,10 @@ impl MutableIndex {
         self.mem.alive.push(true);
         self.live.insert(entity, Slot::Mem { row: local });
         if self.mem.rows() >= self.params.resolved_seal_rows() {
-            self.seal()?;
-            return Ok(true);
+            self.seal();
+            return true;
         }
-        Ok(false)
+        false
     }
 
     /// Deletes `entity`'s row, if live: records a tombstone that shadows
@@ -360,17 +313,12 @@ impl MutableIndex {
 
     /// Seals the mutable segment into an immutable one: its live rows (in
     /// insertion order) become a new sealed segment built with
-    /// `params.ivf` — streamed into an on-disk container under a mapped
-    /// [`LsmParams::backing`], resident otherwise. A no-op when no live row
-    /// is buffered (shadowed buffer rows are discarded).
-    ///
-    /// On error (spill I/O) the index is unchanged — the builder's RAII
-    /// guard removes any partial container, and the mutable segment keeps
-    /// answering queries.
-    pub fn seal(&mut self) -> Result<(), StorageError> {
+    /// `params.ivf`. A no-op when no live row is buffered (shadowed buffer
+    /// rows are discarded).
+    pub fn seal(&mut self) {
         if self.mem.live() == 0 {
             self.mem.clear();
-            return Ok(());
+            return;
         }
         let mut data = Vec::with_capacity(self.mem.live() * self.dim);
         let mut entities = Vec::with_capacity(self.mem.live());
@@ -381,7 +329,7 @@ impl MutableIndex {
             }
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let segment = Segment::build(&table, entities, &self.params)?;
+        let segment = Segment::build(table, entities, &self.params);
         let seg = self.sealed.len() as u32;
         for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
@@ -394,37 +342,32 @@ impl MutableIndex {
         }
         self.sealed.push(segment);
         self.mem.clear();
-        Ok(())
     }
 
     /// Folds all sealed segments + tombstones into one re-clustered
     /// segment. Live rows are gathered in ascending (segment id, local
-    /// row) order and rebuilt with the seeded ChaCha8 k-means, so under a
-    /// mapped backing the output container is **byte-identical**
-    /// (checksums included) for a given (input segments, seed) — no matter
-    /// when, or on how many threads, compaction runs. The mutable segment
-    /// is untouched; canonical live positions are preserved.
+    /// row) order and rebuilt with the seeded ChaCha8 k-means, so the
+    /// output segment is a pure function of (input segments, seed) — no
+    /// matter when, or on how many threads, compaction runs. The mutable
+    /// segment is untouched; canonical live positions are preserved.
     ///
     /// Synchronous and caller-driven — this module never schedules it.
-    /// On error the pre-compaction segment set is unchanged and keeps
-    /// answering queries; the builder's RAII guard removes any partial
-    /// output container.
-    pub fn compact(&mut self) -> Result<(), StorageError> {
+    pub fn compact(&mut self) {
         if self.sealed.is_empty() {
-            return Ok(());
+            return;
         }
         let live_sealed: usize = self.sealed.iter().map(Segment::live).sum();
         if live_sealed == 0 {
             self.sealed.clear();
-            return Ok(());
+            return;
         }
         let mut data = Vec::with_capacity(live_sealed * self.dim);
         let mut entities = Vec::with_capacity(live_sealed);
         for seg in &self.sealed {
-            seg.gather_live(self.dim, &mut data, &mut entities);
+            seg.gather_live(&mut data, &mut entities);
         }
         let table = EmbeddingTable::from_data(entities.len(), self.dim, data);
-        let segment = Segment::build(&table, entities, &self.params)?;
+        let segment = Segment::build(table, entities, &self.params);
         for (row, &entity) in segment.entities.iter().enumerate() {
             self.live.insert(
                 entity,
@@ -435,7 +378,6 @@ impl MutableIndex {
             );
         }
         self.sealed = vec![segment];
-        Ok(())
     }
 
     /// The live corpus in canonical order: rows gathered ascending
@@ -448,7 +390,7 @@ impl MutableIndex {
         let mut data = Vec::with_capacity(self.len() * self.dim);
         let mut entities = Vec::with_capacity(self.len());
         for seg in &self.sealed {
-            seg.gather_live(self.dim, &mut data, &mut entities);
+            seg.gather_live(&mut data, &mut entities);
         }
         for (local, &alive) in self.mem.alive.iter().enumerate() {
             if alive {
@@ -635,9 +577,7 @@ pub(crate) fn lsm_pass(
 ) -> Vec<Ranked> {
     let mut index = MutableIndex::new(corpus.table.dim(), params.clone());
     for (i, id) in corpus.ids.iter().enumerate() {
-        index
-            .insert(i as u32, corpus.table.row(id.index()))
-            .unwrap_or_else(|e| panic!("lsm segment seal failed: {e}"));
+        index.insert(i as u32, corpus.table.row(id.index()));
     }
     index.search(&queries.norm, cap)
 }
@@ -668,7 +608,7 @@ mod tests {
 
     fn fill(index: &mut MutableIndex, table: &EmbeddingTable) {
         for i in 0..table.rows() {
-            index.insert(i as u32, table.row(i)).expect("insert");
+            index.insert(i as u32, table.row(i));
         }
     }
 
@@ -722,7 +662,7 @@ mod tests {
         assert!(!index.contains(7));
         assert!(!index.remove(7), "double delete is a no-op");
         let replacement = raw_table(5, 1, 8);
-        index.insert(7, replacement.row(0)).expect("reinsert");
+        index.insert(7, replacement.row(0));
         assert!(index.contains(7));
         assert_eq!(index.len(), 30);
         let queries = normalized(&replacement);
@@ -740,10 +680,10 @@ mod tests {
         for e in [3u32, 25, 71] {
             index.remove(e);
         }
-        index.seal().expect("seal the tail");
+        index.seal();
         let before = index.search(&queries, 8);
         assert!(index.segments() > 1);
-        index.compact().expect("compact");
+        index.compact();
         assert_eq!(index.segments(), 1);
         assert_eq!(index.len(), 87);
         let after = index.search(&queries, 8);
@@ -755,9 +695,9 @@ mod tests {
         let mut index = MutableIndex::new(6, small_params(4));
         let queries = normalized(&raw_table(8, 3, 6));
         assert!(index.search_flat(&queries, 5).is_empty());
-        index.compact().expect("compacting nothing is a no-op");
-        index.seal().expect("sealing nothing is a no-op");
-        index.insert(1, &[0.0; 6]).expect("zero-norm row");
+        index.compact(); // compacting nothing is a no-op
+        index.seal(); // sealing nothing is a no-op
+        index.insert(1, &[0.0; 6]); // zero-norm row
         let hits = index.search(&queries, 5);
         assert_eq!(hits.len(), 3, "one live row, three queries");
         assert!(hits.iter().all(|r| r.index == 1 && r.score == 0.0));

@@ -42,7 +42,6 @@
 use crate::ann::ROW_TILE;
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::storage::{InMemory, ListStore, StorageError, StoreScratch};
 use crate::topk::{Ranked, TopK};
 use rayon::prelude::*;
 
@@ -171,58 +170,6 @@ impl QuantizedTable {
         self.codes.len()
     }
 
-    /// The whole row-major code panel (`rows × dim` bytes).
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
-    /// The per-dimension `(offset, scale)` reconstruction grid.
-    pub fn grid(&self) -> (&[f32], &[f32]) {
-        (&self.offset, &self.scale)
-    }
-
-    /// Assembles a table from raw parts — the deserialisation path of the
-    /// on-disk container — validating every shape instead of trusting the
-    /// input: a corrupt or truncated file surfaces a typed
-    /// [`StorageError`] naming the offending section rather than a panic
-    /// (or, worse, silently wrong scores) later.
-    pub fn from_parts(
-        rows: usize,
-        dim: usize,
-        codes: Vec<u8>,
-        offset: Vec<f32>,
-        scale: Vec<f32>,
-    ) -> Result<Self, StorageError> {
-        if codes.len()
-            != rows.checked_mul(dim).ok_or_else(|| StorageError::Corrupt {
-                section: "sq8 codes",
-                detail: format!("{rows} x {dim} overflows"),
-            })?
-        {
-            return Err(StorageError::ShapeMismatch {
-                section: "sq8 codes",
-                detail: format!("expected {rows} x {dim} codes, found {}", codes.len()),
-            });
-        }
-        if offset.len() != dim || scale.len() != dim {
-            return Err(StorageError::ShapeMismatch {
-                section: "sq8 grid",
-                detail: format!(
-                    "expected {dim} offsets and {dim} scales, found {} and {}",
-                    offset.len(),
-                    scale.len()
-                ),
-            });
-        }
-        Ok(Self {
-            rows,
-            dim,
-            codes,
-            offset,
-            scale,
-        })
-    }
-
     /// Precomputes the integer ADC query state: quantizes the f32 lookup row
     /// `q_d · scale_d` onto a symmetric i16 grid chosen so that a full-row
     /// `i32` accumulation provably cannot overflow, fills `lut` with the i16
@@ -236,7 +183,35 @@ impl QuantizedTable {
     /// same rows the exact engine would (NaN exact scores rank last there
     /// too).
     pub fn prepare_query(&self, q: &[f32], lut: &mut Vec<i16>) -> (f32, f32) {
-        prepare_query_grid(&self.offset, &self.scale, q, lut)
+        let dim = self.dim;
+        debug_assert_eq!(q.len(), dim);
+        let base = kernel::dot(q, &self.offset);
+        lut.clear();
+        // Largest finite |q_d * scale_d| sets the grid.
+        let mut magnitude = 0.0f32;
+        for (&x, &s) in q.iter().zip(&self.scale) {
+            let v = (x * s).abs();
+            if v.is_finite() && v > magnitude {
+                magnitude = v;
+            }
+        }
+        // Overflow-safe integer bound: dim rows of |lq| ≤ bound times codes
+        // ≤ 255 stay within i32 whatever the data.
+        let bound = (i32::MAX / (255 * dim.max(1) as i32) - 1).min(i16::MAX as i32 - 1);
+        if magnitude <= 0.0 || bound <= 0 {
+            lut.resize(dim, 0);
+            return (base, 0.0);
+        }
+        let grid = bound as f32 / magnitude;
+        lut.extend(q.iter().zip(&self.scale).map(|(&x, &s)| {
+            let v = x * s;
+            if v.is_finite() {
+                (v * grid).round() as i16
+            } else {
+                0
+            }
+        }));
+        (base, 1.0 / grid)
     }
 
     /// Integer ADC scan of a prepared query against **all** rows:
@@ -277,8 +252,7 @@ impl QuantizedTable {
             return vec![Vec::new(); queries.rows()];
         }
         let rerank = params.resolved_rerank(cap, corpus.rows());
-        let store = InMemory::with_codes(corpus, self);
-        let flat = sq8_topk_flat(queries, &store, cap, rerank);
+        let flat = sq8_topk_flat(queries, corpus, self, cap, rerank);
         flat.chunks(cap)
             .map(|chunk| chunk.iter().map(|r| (r.index, r.score)).collect())
             .collect()
@@ -286,18 +260,16 @@ impl QuantizedTable {
 }
 
 /// Incremental per-dimension `(min, max)` accumulator behind the SQ8
-/// reconstruction grid — the streaming twin of the one-shot min/max pass in
-/// [`QuantizedTable::build`] (which now runs on it, so the two cannot
-/// diverge). Feed rows in any chunking: min/max are order-insensitive, so
-/// the finished grid is bit-identical to the materialised pass.
-pub(crate) struct Sq8GridFit {
+/// reconstruction grid of [`QuantizedTable::build`]. Min/max are
+/// order-insensitive, so the finished grid does not depend on row order.
+struct Sq8GridFit {
     min: Vec<f32>,
     max: Vec<f32>,
 }
 
 impl Sq8GridFit {
     /// Starts an empty fit over `dim`-wide rows.
-    pub(crate) fn new(dim: usize) -> Self {
+    fn new(dim: usize) -> Self {
         Self {
             min: vec![f32::INFINITY; dim],
             max: vec![f32::NEG_INFINITY; dim],
@@ -306,7 +278,7 @@ impl Sq8GridFit {
 
     /// Folds one row into the per-dimension ranges. Non-finite entries are
     /// excluded (they code as 0 and never stretch the grid).
-    pub(crate) fn update_row(&mut self, row: &[f32]) {
+    fn update_row(&mut self, row: &[f32]) {
         debug_assert_eq!(row.len(), self.min.len());
         for ((lo, hi), &v) in self.min.iter_mut().zip(self.max.iter_mut()).zip(row) {
             if !v.is_finite() {
@@ -325,7 +297,7 @@ impl Sq8GridFit {
     /// accumulated ranges: offset = column minimum, scale = range / 255,
     /// both 0 for empty or all-non-finite columns, scale 0 (exact
     /// reconstruction from the offset) for constant columns.
-    pub(crate) fn finish(self) -> (Vec<f32>, Vec<f32>) {
+    fn finish(self) -> (Vec<f32>, Vec<f32>) {
         let dim = self.min.len();
         let mut offset = vec![0.0f32; dim];
         let mut scale = vec![0.0f32; dim];
@@ -345,9 +317,8 @@ impl Sq8GridFit {
 /// Quantizes one row onto a finished `(offset, scale)` grid:
 /// `code = round((v - offset) / scale)` clamped to `0..=255`, with
 /// non-finite entries and zero-scale columns coded as 0. The per-row kernel
-/// of [`QuantizedTable::build`], shared with the streaming container
-/// builder so both encode bit-identically.
-pub(crate) fn sq8_encode_row(offset: &[f32], scale: &[f32], row: &[f32], out: &mut [u8]) {
+/// of [`QuantizedTable::build`].
+fn sq8_encode_row(offset: &[f32], scale: &[f32], row: &[f32], out: &mut [u8]) {
     debug_assert_eq!(row.len(), offset.len());
     debug_assert_eq!(out.len(), offset.len());
     for d in 0..row.len() {
@@ -360,60 +331,11 @@ pub(crate) fn sq8_encode_row(offset: &[f32], scale: &[f32], row: &[f32], out: &m
     }
 }
 
-/// Precomputes the integer ADC query state against a per-dimension
-/// `(offset, scale)` reconstruction grid — the grid form
-/// [`QuantizedTable::prepare_query`] and the mapped store share. See that
-/// method for the contract.
-pub(crate) fn prepare_query_grid(
-    offset: &[f32],
-    scale: &[f32],
-    q: &[f32],
-    lut: &mut Vec<i16>,
-) -> (f32, f32) {
-    let dim = offset.len();
-    debug_assert_eq!(q.len(), dim);
-    let base = kernel::dot(q, offset);
-    lut.clear();
-    // Largest finite |q_d * scale_d| sets the grid.
-    let mut magnitude = 0.0f32;
-    for (&x, &s) in q.iter().zip(scale) {
-        let v = (x * s).abs();
-        if v.is_finite() && v > magnitude {
-            magnitude = v;
-        }
-    }
-    // Overflow-safe integer bound: dim rows of |lq| ≤ bound times codes
-    // ≤ 255 stay within i32 whatever the data.
-    let bound = (i32::MAX / (255 * dim.max(1) as i32) - 1).min(i16::MAX as i32 - 1);
-    if magnitude <= 0.0 || bound <= 0 {
-        lut.resize(dim, 0);
-        return (base, 0.0);
-    }
-    let grid = bound as f32 / magnitude;
-    lut.extend(q.iter().zip(scale).map(|(&x, &s)| {
-        let v = x * s;
-        if v.is_finite() {
-            (v * grid).round() as i16
-        } else {
-            0
-        }
-    }));
-    (base, 1.0 / grid)
-}
-
 /// Integer ADC scan of a contiguous row-major code panel:
 /// `out[j] = base + step · (Σ_d lut_d · code_jd)`, register-blocked like
 /// [`kernel::scan_block`]. Integer accumulation is associative, so any
-/// panel chunking (the mapped store streams bounded chunks) is
-/// bit-identical.
-pub(crate) fn adc_scan_panel(
-    codes: &[u8],
-    dim: usize,
-    lut: &[i16],
-    base: f32,
-    step: f32,
-    out: &mut [f32],
-) {
+/// blocking is bit-identical.
+fn adc_scan_panel(codes: &[u8], dim: usize, lut: &[i16], base: f32, step: f32, out: &mut [f32]) {
     debug_assert_eq!(codes.len(), out.len() * dim);
     let n = out.len();
     let blocks = n / kernel::BLOCK;
@@ -440,7 +362,7 @@ pub(crate) fn adc_scan_panel(
 
 /// Integer ADC scan of gathered rows of a row-major code panel (the IVF-SQ
 /// inverted-list form): `out[i] = base + step · (Σ_d lut_d · code(rows[i], d))`.
-pub(crate) fn adc_scan_gather(
+fn adc_scan_gather(
     codes: &[u8],
     dim: usize,
     lut: &[i16],
@@ -516,7 +438,6 @@ pub(crate) struct Sq8Scratch {
     approx: Vec<f32>,
     idx: Vec<u32>,
     exact: Vec<f32>,
-    store: StoreScratch,
 }
 
 impl Sq8Scratch {
@@ -526,62 +447,49 @@ impl Sq8Scratch {
             approx: Vec::new(),
             idx: Vec::new(),
             exact: Vec::new(),
-            store: StoreScratch::new(),
         }
     }
 }
 
 /// The quantized selection + exact re-rank for one query — the single
-/// implementation the whole-corpus SQ8 scan, the IVF-SQ list scans and the
-/// mapped on-disk store all run, so the re-rank contract (canonical total
-/// order, clamp, bit-exact returned scores) cannot diverge between them.
+/// implementation the whole-corpus SQ8 scan and the IVF-SQ list scans both
+/// run, so the re-rank contract (canonical total order, clamp, bit-exact
+/// returned scores) cannot diverge between them.
 ///
-/// ADC-scores the candidate rows through the store's code panel
+/// ADC-scores the candidate rows through `quantized`'s code panel
 /// (`rows = None` scans the whole corpus in panel order; `Some(rows)` scans
 /// a gathered row list), keeps the best `rerank` by approximate score
 /// (strict total order: approx desc, row asc — NaN approximations rank
-/// last), re-scores those rows with the exact kernel over the store's f32
+/// last), re-scores those rows with the exact kernel over `corpus`'s f32
 /// rows and appends the bounded exact selection best-first to `out`:
 /// exactly `cap` entries, every score a bit-exact clamped f32 dot.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sq8_select_and_rerank(
     query: &[f32],
-    store: &dyn ListStore,
+    corpus: &EmbeddingTable,
+    quantized: &QuantizedTable,
     rows: Option<&[u32]>,
     cap: usize,
     rerank: usize,
     scratch: &mut Sq8Scratch,
     out: &mut Vec<Ranked>,
 ) {
-    let (offset, scale) = store.sq8_grid().expect("store has no SQ8 code panel");
-    let (base, step) = prepare_query_grid(offset, scale, query, &mut scratch.lut);
+    let (base, step) = quantized.prepare_query(query, &mut scratch.lut);
     // Bounded heap selection under the canonical (score desc, row asc)
     // total order — same selected set as a full sort, one comparison per
     // non-surviving row.
     let mut approx_select = TopK::new(rerank);
     match rows {
         None => {
-            scratch.approx.resize(store.rows(), 0.0);
-            store.scan_codes_all(
-                &scratch.lut,
-                base,
-                step,
-                &mut scratch.store,
-                &mut scratch.approx,
-            );
+            scratch.approx.resize(quantized.rows(), 0.0);
+            quantized.scan(&scratch.lut, base, step, &mut scratch.approx);
             for (j, &score) in scratch.approx.iter().enumerate() {
                 approx_select.push(score, j as u32);
             }
         }
         Some(rows) => {
             scratch.approx.resize(rows.len(), 0.0);
-            store.scan_code_rows(
-                &scratch.lut,
-                base,
-                step,
-                rows,
-                &mut scratch.store,
-                &mut scratch.approx,
-            );
+            quantized.scan_rows(&scratch.lut, base, step, rows, &mut scratch.approx);
             for (&row, &score) in rows.iter().zip(&scratch.approx) {
                 approx_select.push(score, row);
             }
@@ -592,8 +500,13 @@ pub(crate) fn sq8_select_and_rerank(
         .idx
         .extend(approx_select.into_sorted().iter().map(|r| r.index));
     scratch.exact.resize(scratch.idx.len(), 0.0);
-    store.prefetch_f32_rows(&scratch.idx);
-    store.scan_f32_rows(query, &scratch.idx, &mut scratch.store, &mut scratch.exact);
+    kernel::scan_gather(
+        query,
+        corpus.data(),
+        corpus.dim(),
+        &scratch.idx,
+        &mut scratch.exact,
+    );
     let mut select = TopK::new(cap);
     for (&col, &score) in scratch.idx.iter().zip(&scratch.exact) {
         select.push(score.clamp(-1.0, 1.0), col);
@@ -604,14 +517,16 @@ pub(crate) fn sq8_select_and_rerank(
 
 /// Fans query blocks over the rayon pool (order-preserving concat, the exact
 /// engine's fan-out shape) and returns the flattened best-first lists:
-/// exactly `cap` entries per query. Works over any [`ListStore`] backend —
-/// in-memory panels and mapped containers produce bit-identical lists.
+/// exactly `cap` entries per query. `quantized` must be built from `corpus`.
 pub(crate) fn sq8_topk_flat(
     queries: &EmbeddingTable,
-    store: &dyn ListStore,
+    corpus: &EmbeddingTable,
+    quantized: &QuantizedTable,
     cap: usize,
     rerank: usize,
 ) -> Vec<Ranked> {
+    assert_eq!(corpus.rows(), quantized.rows(), "row count mismatch");
+    assert_eq!(corpus.dim(), quantized.dim(), "dimension mismatch");
     let n_q = queries.rows();
     if cap == 0 || n_q == 0 {
         return Vec::new();
@@ -626,7 +541,8 @@ pub(crate) fn sq8_topk_flat(
             for q in start..end {
                 sq8_select_and_rerank(
                     queries.row(q),
-                    store,
+                    corpus,
+                    quantized,
                     None,
                     cap,
                     rerank,

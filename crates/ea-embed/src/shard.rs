@@ -3,12 +3,10 @@
 //!
 //! Sharding is the crate's segment layer under a clustered partition plus a
 //! centroid router. A [`ShardedIndex`] splits the (normalised) corpus into
-//! `nshards` partitions and builds one segment per shard — an in-memory
-//! [`IvfIndex`](crate::IvfIndex) or, per [`ShardParams::backing`], an
-//! on-disk candidate container written by the streaming builder and served
-//! through the mapped store — plus the
-//! shard-local → global row map. The LSM engine ([`crate::MutableIndex`])
-//! runs on the same segments. Each segment is exactly the single-container
+//! `nshards` partitions and builds one segment per shard — the shard's rows
+//! plus an [`IvfIndex`](crate::IvfIndex) over them — plus the shard-local →
+//! global row map. The LSM engine ([`crate::MutableIndex`]) runs on the
+//! same segments. Each segment is exactly the single-container
 //! engine the rest of the crate already defends, over a subset of the rows;
 //! nothing about per-shard scoring changes.
 //!
@@ -33,15 +31,14 @@
 //!    over the union of partials would have kept.
 //!
 //! **Determinism contract.** Partitioning is a pure function of
-//! `(corpus, params)` (the clustered partition reuses the seeded streaming
-//! k-means trainer), routing is a pure per-query function, shards are
+//! `(corpus, params)` (the clustered partition reuses the seeded k-means
+//! trainer of the IVF quantizer), routing is a pure per-query function, shards are
 //! scanned in fixed order and merged under the total order — so results are
 //! identical run to run and whatever the thread count. When every shard is
 //! routed (`route_shards = nshards`) **and** each per-shard engine is
 //! exhaustive ([`IvfParams::exhaustive`]), the sharded result is
 //! bit-identical (ids and score bits) to the exact single-shard engine, for
-//! any shard count and for in-memory and mapped backings alike
-//! (`tests/prop_shard.rs` pins all of it, `tests/shard_threads.rs` under
+//! any shard count (`tests/prop_shard.rs` pins all of it, `tests/shard_threads.rs` under
 //! `RAYON_NUM_THREADS=8`). At partial settings the approximation stays
 //! subset-only: returned scores are still the bit-exact clamped kernel
 //! dots, the engine may only *miss* candidates.
@@ -55,10 +52,8 @@ use crate::ann::{self, IvfListStorage, IvfParams, ROW_TILE};
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
 use crate::segment::{self, SegmentStore};
-use crate::storage::{OpenOptions, RowSource, StorageError, StoreBacking, TableRows};
 use crate::topk::Ranked;
 use rayon::prelude::*;
-use std::path::Path;
 
 /// Rows per shard the automatic `nshards = 0` sizing aims for.
 const AUTO_SHARD_ROWS: usize = 65_536;
@@ -69,17 +64,16 @@ const AUTO_MAX_SHARDS: usize = 16;
 /// How [`ShardedIndex::build`] assigns corpus rows to shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShardPartition {
-    /// Seeded spherical k-means with `nshards` clusters (the same streaming
-    /// trainer the IVF quantizer uses, seeded from [`IvfParams::seed`]):
+    /// Seeded spherical k-means with `nshards` clusters (the same trainer
+    /// the IVF quantizer uses, seeded from [`IvfParams::seed`]):
     /// rows near each other land in the same shard, so the router's
     /// centroid-proximity ranking concentrates each query's true
     /// neighbours in few shards. The default.
     #[default]
     Clustered,
     /// Contiguous row ranges in arrival order — placement-friendly (shard
-    /// `s` is rows `[s·⌈n/N⌉, …)`) and what [`ShardedIndex::open`] assumes,
-    /// but the router is less selective because every shard spans the whole
-    /// embedding space.
+    /// `s` is rows `[s·⌈n/N⌉, …)`), but the router is less selective
+    /// because every shard spans the whole embedding space.
     Contiguous,
 }
 
@@ -100,10 +94,6 @@ pub struct ShardParams {
     /// Auto-tuned knobs (`nlist`, `nprobe`) resolve against each shard's
     /// row count.
     pub ivf: IvfParams,
-    /// Where each shard's row panels (and SQ8 codes) live: resident, or a
-    /// per-shard on-disk container searched through the mapped store,
-    /// removed when the index drops. Results are bit-identical either way.
-    pub backing: StoreBacking,
 }
 
 impl ShardParams {
@@ -116,7 +106,6 @@ impl ShardParams {
             route_shards: usize::MAX,
             partition: ShardPartition::default(),
             ivf: IvfParams::exhaustive(),
-            backing: StoreBacking::InMemory,
         }
     }
 
@@ -147,32 +136,6 @@ impl ShardParams {
             nshards
         } else {
             self.route_shards.clamp(1, nshards)
-        }
-    }
-}
-
-/// [`RowSource`] serving a subset of an already-normalised table's rows, as
-/// stored (crucially *not* re-normalising: dividing a unit row by its ≈1.0
-/// norm again would perturb the low bits and break bit-identity between
-/// in-memory and container-built shards).
-struct SubsetRows<'a> {
-    table: &'a EmbeddingTable,
-    rows: &'a [u32],
-}
-
-impl RowSource for SubsetRows<'_> {
-    fn rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.table.dim()
-    }
-
-    fn fill_rows(&self, start: usize, out: &mut [f32]) {
-        let dim = self.table.dim();
-        for (i, chunk) in out.chunks_exact_mut(dim).enumerate() {
-            chunk.copy_from_slice(self.table.row(self.rows[start + i] as usize));
         }
     }
 }
@@ -261,24 +224,21 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Partitions `corpus` (rows must already be normalised, like every
-    /// engine input in this crate) and builds one engine per shard,
-    /// resident or container-backed per [`ShardParams::backing`].
-    ///
-    /// # Panics
-    /// Panics if a shard container cannot be spilled or read back (use
-    /// [`ShardedIndex::open`] over pre-built containers for typed errors).
+    /// engine input in this crate) and builds one engine per shard over
+    /// the shard's rows, copied as stored.
     pub fn build(corpus: &EmbeddingTable, params: &ShardParams) -> ShardedIndex {
         let n = corpus.rows();
+        let dim = corpus.dim();
         let nshards = params.resolved_nshards(n);
         let shards: Vec<Shard> = partition_rows(corpus, params, nshards)
             .into_iter()
             .map(|global| {
-                let rows = SubsetRows {
-                    table: corpus,
-                    rows: &global,
-                };
-                let store = SegmentStore::build(&rows, &params.ivf, &params.backing)
-                    .unwrap_or_else(|e| panic!("shard container spill failed: {e}"));
+                let mut data = Vec::with_capacity(global.len() * dim);
+                for &row in &global {
+                    data.extend_from_slice(corpus.row(row as usize));
+                }
+                let table = EmbeddingTable::from_data(global.len(), dim, data);
+                let store = SegmentStore::build(table, &params.ivf);
                 Shard { global, store }
             })
             .collect();
@@ -286,49 +246,8 @@ impl ShardedIndex {
             shards,
             params: params.clone(),
             rows: n,
-            dim: corpus.dim(),
-        }
-    }
-
-    /// Opens a shard set from pre-built candidate containers, one per shard
-    /// in global row order: shard `s` is assumed to hold the contiguous
-    /// corpus rows following shard `s - 1`'s (the [`ShardPartition::Contiguous`]
-    /// layout — containers carry no global ids, so the deployment owns the
-    /// mapping). Containers must carry IVF state; `params.nshards` is
-    /// ignored in favour of `paths.len()`, and `params.backing` too (the
-    /// containers are already on disk). Every error names the offending
-    /// container file ([`StorageError::AtPath`]).
-    pub fn open<P: AsRef<Path>>(
-        paths: &[P],
-        options: &OpenOptions,
-        params: &ShardParams,
-    ) -> Result<ShardedIndex, StorageError> {
-        let mut shards = Vec::with_capacity(paths.len());
-        let mut base = 0u32;
-        let mut dim = 0usize;
-        for path in paths {
-            let path = path.as_ref();
-            let store = SegmentStore::open(path, options)?;
-            if shards.is_empty() {
-                dim = store.dim();
-            } else if store.dim() != dim {
-                return Err(StorageError::ShapeMismatch {
-                    section: "f32 panel",
-                    detail: format!("shard dim {} != first shard dim {dim}", store.dim()),
-                }
-                .at_path(path));
-            }
-            let rows = store.rows();
-            let global: Vec<u32> = (base..base + rows as u32).collect();
-            base += rows as u32;
-            shards.push(Shard { global, store });
-        }
-        Ok(ShardedIndex {
-            shards,
-            params: params.clone(),
-            rows: base as usize,
             dim,
-        })
+        }
     }
 
     /// Number of shards.
@@ -346,7 +265,7 @@ impl ShardedIndex {
         self.dim
     }
 
-    /// The parameters this index was built (or opened) with.
+    /// The parameters this index was built with.
     pub fn params(&self) -> &ShardParams {
         &self.params
     }
@@ -358,37 +277,13 @@ impl ShardedIndex {
         }
     }
 
-    /// Heap bytes that stay resident for searching, summed across shards:
-    /// per-shard coarse state (and panels, for resident shards) plus the
-    /// shard-local → global row maps.
+    /// Heap bytes kept for searching, summed across shards: per-shard row
+    /// panels and coarse state plus the shard-local → global row maps.
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.global.len() * 4 + s.store.resident_bytes())
             .sum()
-    }
-
-    /// Bytes of on-disk container storage backing the shard set (0 when
-    /// every shard is resident).
-    pub fn stored_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.store.stored_bytes()).sum()
-    }
-
-    /// The backend serving row gathers: `"resident"`, `"mmap"` or
-    /// `"pread"` when every shard agrees (an empty shard set counts as
-    /// resident), `"mixed"` otherwise.
-    pub fn backend(&self) -> &'static str {
-        let mut backends = self.shards.iter().map(|s| s.store.backend());
-        match backends.next() {
-            None => "resident",
-            Some(first) => {
-                if backends.all(|b| b == first) {
-                    first
-                } else {
-                    "mixed"
-                }
-            }
-        }
     }
 
     /// Scatter-gather top-`k` search at the configured
@@ -556,8 +451,8 @@ fn partition_rows(corpus: &EmbeddingTable, params: &ShardParams, nshards: usize)
                 storage: IvfListStorage::Flat,
                 ..params.ivf.clone()
             };
-            let train = ann::train_streaming(&TableRows::new(corpus), &train_params, n, None);
-            let (offsets, rows) = ann::csr_from_assignments(&train.assignments, nshards);
+            let (_, assignments) = ann::train_kmeans(corpus, &train_params);
+            let (offsets, rows) = ann::csr_from_assignments(&assignments, nshards);
             (0..nshards)
                 .map(|s| rows[offsets[s] as usize..offsets[s + 1] as usize].to_vec())
                 .collect()

@@ -1,4 +1,4 @@
-//! Property suite pinning the LSM mutable engine to the single-container
+//! Property suite pinning the LSM mutable engine to the single-index
 //! engines: streaming alignment maintenance must never cost a bit.
 //!
 //! The contracts, over *any* interleaving of inserts, deletes, seals and
@@ -7,16 +7,16 @@
 //! 1. **Segment invariance** — a [`MutableIndex`] search (canonical
 //!    positions and entity ids, forward and reverse candidate lists) is
 //!    bit-identical to a freshly built single exhaustive engine over the
-//!    equivalent live corpus, for any segment split (seal budget), both
-//!    backings, flat and SQ8 list storage.
+//!    equivalent live corpus, for any segment split (seal budget), flat and
+//!    SQ8 list storage.
 //! 2. **Tombstone semantics** — insert-then-delete is indistinguishable
 //!    from never-inserted; delete-then-reinsert resurrects the entity with
 //!    the *new* row; a delete shadows every older generation of the entity
 //!    across ≥3 sealed segments.
-//! 3. **Compaction determinism** — `compact()` output containers are
-//!    byte-identical (checksums included) for a given (input segments,
-//!    seed), regardless of when compaction runs or how many rayon threads
-//!    run it.
+//! 3. **Compaction determinism** — the `compact()` output segment (its live
+//!    rows and the answers of its k-means lists) is byte-identical for a
+//!    given (input segments, seed), regardless of when compaction runs or
+//!    how many rayon threads run it.
 //!
 //! The reference model is deliberately independent of the index internals:
 //! a `Vec<(entity, raw row)>` where an insert moves the entity to the back
@@ -24,9 +24,7 @@
 //! live order the module documents.
 
 use ea_embed::lsm::{LsmParams, MutableIndex};
-use ea_embed::{
-    EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, MappedOptions, Sq8Params, StoreBacking,
-};
+use ea_embed::{EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, Sq8Params};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,22 +95,21 @@ fn normalized_queries(seed: u64, n_q: usize, dim: usize) -> EmbeddingTable {
     q.gather_normalized(&all)
 }
 
-/// Replays `ops` into both the index and the model, verifying errors never
-/// occur on the happy path.
+/// Replays `ops` into both the index and the model.
 fn replay(index: &mut MutableIndex, model: &mut Model, ops: &[Op], seed: u64, dim: usize) {
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Insert(entity) => {
                 let row = raw_row(seed, step, dim);
-                index.insert(entity, &row).expect("insert");
+                index.insert(entity, &row);
                 model.insert(entity, row);
             }
             Op::Delete(entity) => {
                 let existed = index.remove(entity);
                 assert_eq!(existed, model.delete(entity), "step {step}");
             }
-            Op::Seal => index.seal().expect("seal"),
-            Op::Compact => index.compact().expect("compact"),
+            Op::Seal => index.seal(),
+            Op::Compact => index.compact(),
         }
     }
 }
@@ -150,7 +147,7 @@ fn assert_matches_model(index: &MutableIndex, model: &Model, queries: &Embedding
     assert_eq!(bits(&by_entity), remapped, "entity ids + score bits");
 }
 
-fn params(seal_rows: usize, mapped: bool, sq8: bool) -> LsmParams {
+fn params(seal_rows: usize, sq8: bool) -> LsmParams {
     LsmParams {
         seal_rows,
         ivf: IvfParams {
@@ -160,11 +157,6 @@ fn params(seal_rows: usize, mapped: bool, sq8: bool) -> LsmParams {
                 IvfListStorage::Flat
             },
             ..IvfParams::exhaustive()
-        },
-        backing: if mapped {
-            StoreBacking::Mapped(MappedOptions::default())
-        } else {
-            StoreBacking::InMemory
         },
     }
 }
@@ -187,12 +179,12 @@ proptest! {
     ) {
         let ops = decode_ops(&raw_ops, entities);
         let queries = normalized_queries(seed ^ 0xABCD, n_q, dim);
-        let mut index = MutableIndex::new(dim, params(seal_rows, false, false));
+        let mut index = MutableIndex::new(dim, params(seal_rows, false));
         let mut model = Model::default();
         replay(&mut index, &mut model, &ops, seed, dim);
         assert_matches_model(&index, &model, &queries, k);
         // And again after folding everything into one segment.
-        index.compact().expect("final compact");
+        index.compact();
         assert_matches_model(&index, &model, &queries, k);
     }
 
@@ -217,7 +209,7 @@ proptest! {
         let sids: Vec<EntityId> = (0..n_s as u32).map(EntityId).collect();
         let tids: Vec<EntityId> = (0..n_t as u32).map(EntityId).collect();
         let exact = CandidateSearch::Exact.bidirectional_index(&s, &sids, &t, &tids, k);
-        let lsm = CandidateSearch::Lsm(params(seal_rows, false, sq8 == 1))
+        let lsm = CandidateSearch::Lsm(params(seal_rows, sq8 == 1))
             .bidirectional_index(&s, &sids, &t, &tids, k);
         prop_assert!(lsm.has_reverse());
         for i in 0..n_s {
@@ -249,7 +241,7 @@ proptest! {
         dim in 2usize..8,
     ) {
         let queries = normalized_queries(seed ^ 0x5A5A, n_q, dim);
-        let p = params(seal_rows, false, false);
+        let p = params(seal_rows, false);
         let mut with = MutableIndex::new(dim, p.clone());
         let mut without = MutableIndex::new(dim, p);
         // Interleave the doomed extras among the base inserts so they land
@@ -257,12 +249,12 @@ proptest! {
         for i in 0..base.max(extras) {
             if i < base {
                 let row = raw_row(seed, i, dim);
-                with.insert(i as u32, &row).expect("insert");
-                without.insert(i as u32, &row).expect("insert");
+                with.insert(i as u32, &row);
+                without.insert(i as u32, &row);
             }
             if i < extras {
                 let row = raw_row(seed ^ 0xE0E0, i, dim);
-                with.insert(1000 + i as u32, &row).expect("insert extra");
+                with.insert(1000 + i as u32, &row);
             }
         }
         for i in 0..extras {
@@ -289,21 +281,21 @@ proptest! {
         dim in 2usize..8,
     ) {
         let queries = normalized_queries(seed ^ 0x7777, 4, dim);
-        let mut index = MutableIndex::new(dim, params(usize::MAX, false, false));
+        let mut index = MutableIndex::new(dim, params(usize::MAX, false));
         let mut model = Model::default();
         for i in 0..bystanders {
             let row = raw_row(seed, 9_000 + i, dim);
-            index.insert(100 + i as u32, &row).expect("insert");
+            index.insert(100 + i as u32, &row);
             model.insert(100 + i as u32, row);
         }
         // Each generation of each victim lands in its own sealed segment.
         for g in 0..generations {
             for v in 0..victims {
                 let row = raw_row(seed, g * 100 + v, dim);
-                index.insert(v as u32, &row).expect("insert");
+                index.insert(v as u32, &row);
                 model.insert(v as u32, row);
             }
-            index.seal().expect("seal generation");
+            index.seal();
         }
         prop_assert!(index.segments() >= 3);
         assert_matches_model(&index, &model, &queries, k);
@@ -316,66 +308,50 @@ proptest! {
         // Reinsert: resurrects with the new row, not any sealed ancestor.
         for v in 0..victims {
             let row = raw_row(seed, 50_000 + v, dim);
-            index.insert(v as u32, &row).expect("reinsert");
+            index.insert(v as u32, &row);
             model.insert(v as u32, row);
         }
         assert_matches_model(&index, &model, &queries, k);
         // Compaction drops the shadowed generations without changing bits.
-        index.compact().expect("compact");
+        index.compact();
         assert_matches_model(&index, &model, &queries, k);
     }
 
-    /// Contract 1, backing parity: the same history under mapped segments
-    /// (flat and SQ8 lists) answers bit-identically to resident segments.
+    /// Contract 1, list-storage parity: at exhaustive per-segment
+    /// settings the same history over SQ8 list storage answers
+    /// bit-identically to flat list storage (SQ8 still re-ranks to
+    /// bit-exact scores).
     #[test]
-    fn mapped_and_resident_segments_answer_identically(
+    fn sq8_and_flat_segments_answer_identically(
         seed in 0u64..10_000,
         raw_ops in proptest::collection::vec((0u8..=255, 0u8..=255), 1..30),
         entities in 1u32..16,
         seal_rows in 1usize..8,
-        sq8 in 0usize..2,
         k in 1usize..6,
         dim in 2usize..8,
     ) {
         let ops = decode_ops(&raw_ops, entities);
         let queries = normalized_queries(seed ^ 0x1111, 4, dim);
-        let mut resident = MutableIndex::new(dim, params(seal_rows, false, sq8 == 1));
-        let mut mapped = MutableIndex::new(dim, params(seal_rows, true, sq8 == 1));
+        let mut sq8 = MutableIndex::new(dim, params(seal_rows, true));
+        let mut flat = MutableIndex::new(dim, params(seal_rows, false));
         let mut model_a = Model::default();
         let mut model_b = Model::default();
-        replay(&mut resident, &mut model_a, &ops, seed, dim);
-        replay(&mut mapped, &mut model_b, &ops, seed, dim);
+        replay(&mut sq8, &mut model_a, &ops, seed, dim);
+        replay(&mut flat, &mut model_b, &ops, seed, dim);
         assert_eq!(
-            bits(&resident.search(&queries, k)),
-            bits(&mapped.search(&queries, k)),
-            "mapped vs resident segments"
+            bits(&sq8.search(&queries, k)),
+            bits(&flat.search(&queries, k)),
+            "sq8 segments vs flat segments"
         );
-        // Memory reporting stays truthful across the backings.
-        prop_assert_eq!(resident.stored_bytes(), 0);
-        prop_assert!(resident.segment_paths().is_empty());
-        if mapped.segments() > 0 {
-            prop_assert!(mapped.stored_bytes() > 0);
-            prop_assert_eq!(mapped.segment_paths().len(), mapped.segments());
-        }
-        // Exact per-segment settings: SQ8 list storage still re-ranks to
-        // bit-exact scores, pinned against the flat resident build.
-        if sq8 == 1 {
-            let mut flat = MutableIndex::new(dim, params(seal_rows, false, false));
-            let mut model_c = Model::default();
-            replay(&mut flat, &mut model_c, &ops, seed, dim);
-            assert_eq!(
-                bits(&resident.search(&queries, k)),
-                bits(&flat.search(&queries, k)),
-                "sq8 segments vs flat segments"
-            );
-        }
     }
 
     /// Contract 3: for a fixed (sealed segment set, tombstones, seed) the
-    /// compacted container is byte-identical no matter when compaction runs
-    /// relative to other work. (The thread-count axis runs in
-    /// `lsm_threads.rs`, which re-executes the build under different
-    /// `RAYON_NUM_THREADS` — the shim fixes the pool size per process.)
+    /// compacted segment is byte-identical no matter when compaction runs
+    /// relative to other work. One probe per query makes the answers
+    /// depend on the compaction's k-means lists, not just on its rows.
+    /// (The thread-count axis runs in `lsm_threads.rs`, which re-executes
+    /// the build under different `RAYON_NUM_THREADS` — the shim fixes the
+    /// pool size per process.)
     #[test]
     fn compaction_is_byte_deterministic_across_timing(
         seed in 0u64..10_000,
@@ -384,40 +360,49 @@ proptest! {
         seal_rows in 1usize..8,
         dim in 2usize..8,
     ) {
+        let queries = normalized_queries(seed ^ 0x9999, 3, dim);
         let build = |seed: u64| {
-            let mut index = MutableIndex::new(dim, params(seal_rows, true, false));
+            let params = LsmParams {
+                seal_rows,
+                ivf: IvfParams {
+                    nprobe: 1,
+                    ..IvfParams::default()
+                },
+            };
+            let mut index = MutableIndex::new(dim, params);
             for i in 0..rows {
-                index.insert(i as u32, &raw_row(seed, i, dim)).expect("insert");
+                index.insert(i as u32, &raw_row(seed, i, dim));
             }
             // Leave at least one live row so compaction has output.
             for d in 0..deletes.min(rows - 1) {
                 index.remove(d as u32);
             }
-            index.seal().expect("seal tail");
+            index.seal();
             index
+        };
+        let dump = |index: &MutableIndex| {
+            let (live, entities) = index.live_table();
+            let mut out: Vec<u8> = live.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            out.extend(entities.iter().flat_map(|e| e.to_le_bytes()));
+            for (id, score) in bits(&index.search(&queries, 4)) {
+                out.extend(id.to_le_bytes());
+                out.extend(score.to_le_bytes());
+            }
+            out
         };
 
         // Baseline: compact immediately on the ambient pool.
         let mut a = build(seed);
-        a.compact().expect("compact a");
-        let paths = a.segment_paths();
-        prop_assert_eq!(paths.len(), 1);
-        let bytes_a = std::fs::read(paths[0]).expect("read compacted container");
+        a.compact();
+        prop_assert_eq!(a.segments(), 1);
+        let bytes_a = dump(&a);
 
         // Same inputs, compacted later, after unrelated query work.
         let mut b = build(seed);
-        let queries = normalized_queries(seed ^ 0x9999, 3, dim);
         let _ = b.search(&queries, 4);
-        b.compact().expect("compact b");
-        let bytes_b = std::fs::read(b.segment_paths()[0]).expect("read compacted container");
-        prop_assert_eq!(bytes_a.len(), bytes_b.len(), "container length");
-        prop_assert!(bytes_a == bytes_b, "compacted containers must match byte for byte");
-
-        // And the results over it match the pre-compaction answers.
-        assert_eq!(
-            bits(&a.search(&queries, 4)),
-            bits(&b.search(&queries, 4)),
-            "post-compaction answers"
-        );
+        b.compact();
+        let bytes_b = dump(&b);
+        prop_assert_eq!(bytes_a.len(), bytes_b.len(), "dump length");
+        prop_assert!(bytes_a == bytes_b, "compacted segments must match byte for byte");
     }
 }

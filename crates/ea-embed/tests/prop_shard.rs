@@ -1,56 +1,27 @@
 //! Property suite pinning the sharded scatter-gather engine to the
-//! single-container engines.
+//! single-index engines.
 //!
-//! Three contracts:
+//! Two contracts:
 //!
 //! 1. **Full routing is bit-identical** — with every shard routed and
 //!    exhaustive per-shard engines, [`ShardedIndex`] returns bit-identical
-//!    `(global row, score bits)` lists to the exact single-container engine,
+//!    `(global row, score bits)` lists to the exact single-index engine,
 //!    for any shard count (shard-count invariance), both partitions, flat
-//!    and SQ8 list storage, in-memory and mapped backings.
+//!    and SQ8 list storage.
 //! 2. **Partial routing is subset-only** — routing fewer shards (or probing
 //!    fewer lists per shard) may only *miss* candidates: rows always carry
 //!    the full `min(k, n)` entries (shard-level minimum-fill), are
 //!    duplicate-free, sorted under the canonical `(score desc, id asc)`
 //!    order, and every returned score is the bit-exact dense score of that
 //!    (query, row) pair.
-//! 3. **Container parity** — [`ShardedIndex::open`] over independently
-//!    saved per-shard containers answers bit-identically to
-//!    [`ShardedIndex::build`] over the same rows, and open failures name
-//!    the offending container file.
 
 use ea_embed::{
-    save_ivf_streaming, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, MappedOptions,
-    OpenOptions, ShardParams, ShardPartition, ShardedIndex, Sq8Params, StorageError, StoreBacking,
-    TableRows,
+    EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, ShardParams, ShardPartition, ShardedIndex,
+    Sq8Params,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static UNIQUE: AtomicU64 = AtomicU64::new(0);
-
-/// A collision-free container path under the system temp dir; removed on
-/// drop even when an assertion fails.
-struct TempFile(PathBuf);
-
-impl TempFile {
-    fn new(tag: &str) -> Self {
-        TempFile(std::env::temp_dir().join(format!(
-            "exea-prop-shard-{}-{}-{tag}.eacg",
-            std::process::id(),
-            UNIQUE.fetch_add(1, Ordering::Relaxed)
-        )))
-    }
-}
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 /// Raw tables normalised exactly once — the same single normalisation every
 /// engine input gets, so scores are comparable to the bit.
@@ -68,7 +39,7 @@ fn normalized_pair(
     (q.gather_normalized(&all_q), c.gather_normalized(&all_c))
 }
 
-/// The exact reference ranking: the single-container engine at exhaustive
+/// The exact reference ranking: the single-index engine at exhaustive
 /// probing (bit-identical to the dense reference, pinned by
 /// `prop_ann.rs`), with `k = n` so every row's full ranking is available.
 fn full_ranking(queries: &EmbeddingTable, corpus: &EmbeddingTable) -> Vec<Vec<(u32, f32)>> {
@@ -97,10 +68,16 @@ proptest! {
         nshards in 1usize..6,
         dim in 2usize..8,
         clustered in 0usize..2,
+        sq8 in 0usize..2,
     ) {
         let (queries, corpus) = normalized_pair(seed, n_q, n, dim);
         let exact = IvfIndex::build(&corpus, &IvfParams::exhaustive())
             .search(&queries, &corpus, k, usize::MAX);
+        let storage = if sq8 == 1 {
+            IvfListStorage::Sq8(Sq8Params::exhaustive())
+        } else {
+            IvfListStorage::Flat
+        };
         let params = ShardParams {
             nshards,
             partition: if clustered == 1 {
@@ -108,6 +85,7 @@ proptest! {
             } else {
                 ShardPartition::Contiguous
             },
+            ivf: IvfParams { storage, ..IvfParams::exhaustive() },
             ..ShardParams::exhaustive()
         };
         let sharded = ShardedIndex::build(&corpus, &params);
@@ -137,7 +115,6 @@ proptest! {
             route_shards: route,
             partition: ShardPartition::Clustered,
             ivf: IvfParams { nprobe, ..IvfParams::default() },
-            backing: StoreBacking::InMemory,
         };
         let sharded = ShardedIndex::build(&corpus, &params);
         let got = sharded.search_routed(&queries, k, route);
@@ -169,123 +146,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn mapped_and_sq8_shards_match_their_in_memory_build(
-        seed in 0u64..10_000,
-        n_q in 1usize..10,
-        n in 1usize..32,
-        k in 1usize..6,
-        nshards in 1usize..4,
-        route in 1usize..4,
-        sq8 in 0usize..2,
-        dim in 2usize..8,
-    ) {
-        let (queries, corpus) = normalized_pair(seed, n_q, n, dim);
-        let storage = if sq8 == 1 {
-            IvfListStorage::Sq8(Sq8Params::default())
-        } else {
-            IvfListStorage::Flat
-        };
-        let resident = ShardParams {
-            nshards,
-            route_shards: route,
-            partition: ShardPartition::Clustered,
-            ivf: IvfParams { storage: storage.clone(), ..IvfParams::default() },
-            backing: StoreBacking::InMemory,
-        };
-        let mapped = ShardParams {
-            backing: StoreBacking::Mapped(MappedOptions::default()),
-            ..resident.clone()
-        };
-        let a = ShardedIndex::build(&corpus, &resident);
-        let b = ShardedIndex::build(&corpus, &mapped);
-        assert_bit_identical(
-            &a.search(&queries, k),
-            &b.search(&queries, k),
-            "mapped shards vs resident shards",
-        );
-        // Memory reporting stays truthful across the backings.
-        prop_assert_eq!(a.stored_bytes(), 0);
-        prop_assert_eq!(a.backend(), "resident");
-        prop_assert!(b.stored_bytes() > 0);
-        prop_assert!(b.backend() == "mmap" || b.backend() == "pread");
-        prop_assert!(a.resident_bytes() > b.resident_bytes());
-    }
-}
-
-/// [`ShardedIndex::open`] over independently saved contiguous-shard
-/// containers answers bit-identically to the equivalent
-/// [`ShardedIndex::build`].
-#[test]
-fn opened_shard_containers_match_the_built_shard_set() {
-    let (queries, corpus) = normalized_pair(99, 12, 50, 6);
-    let n = corpus.rows();
-    let nshards = 3;
-    let params = ShardParams {
-        nshards,
-        partition: ShardPartition::Contiguous,
-        backing: StoreBacking::Mapped(MappedOptions::default()),
-        ..ShardParams::default()
-    };
-    let built = ShardedIndex::build(&corpus, &params);
-
-    // Save each contiguous shard independently, as a deployment would.
-    let per = n.div_ceil(nshards);
-    let files: Vec<TempFile> = (0..nshards)
-        .map(|s| {
-            let file = TempFile::new(&format!("open-{s}"));
-            let rows: Vec<usize> = (s * per..((s + 1) * per).min(n)).collect();
-            let raw: Vec<f32> = rows
-                .iter()
-                .flat_map(|&r| corpus.row(r).iter().copied())
-                .collect();
-            let mut shard_table = EmbeddingTable::zeros(rows.len(), corpus.dim());
-            for (i, chunk) in raw.chunks(corpus.dim()).enumerate() {
-                shard_table.row_mut(i).copy_from_slice(chunk);
-            }
-            save_ivf_streaming(
-                &TableRows::new(&shard_table),
-                &IvfParams::default(),
-                &file.0,
-                0,
-            )
-            .expect("save shard container");
-            file
-        })
-        .collect();
-
-    let paths: Vec<&std::path::Path> = files.iter().map(|f| f.0.as_path()).collect();
-    let opened =
-        ShardedIndex::open(&paths, &OpenOptions::default(), &params).expect("open shard set");
-    assert_eq!(opened.nshards(), nshards);
-    assert_eq!(opened.rows(), n);
-    for k in [1, 4, 9] {
-        assert_bit_identical(
-            &opened.search(&queries, k),
-            &built.search(&queries, k),
-            "opened vs built shard set",
-        );
-    }
-}
-
-/// Shard-set open failures name the offending container file, not just the
-/// section inside it.
-#[test]
-fn shard_open_errors_name_the_offending_container() {
-    let (_, corpus) = normalized_pair(7, 1, 20, 4);
-    let good = TempFile::new("good");
-    save_ivf_streaming(&TableRows::new(&corpus), &IvfParams::default(), &good.0, 0).expect("save");
-    let bad = TempFile::new("bad");
-    std::fs::write(&bad.0, vec![42u8; 128]).unwrap();
-
-    let paths = [good.0.as_path(), bad.0.as_path()];
-    let err = ShardedIndex::open(&paths, &OpenOptions::default(), &ShardParams::default())
-        .expect_err("corrupt shard must fail");
-    assert!(matches!(err.root(), StorageError::BadMagic));
-    assert_eq!(err.path(), Some(bad.0.as_path()));
-    assert!(
-        err.to_string().contains(&bad.0.display().to_string()),
-        "error must name the bad shard file: {err}"
-    );
 }

@@ -12,8 +12,7 @@
 //! the rayon shim samples it.
 
 use ea_embed::{
-    CandidateSearch, EmbeddingTable, MappedOptions, ShardParams, ShardPartition, ShardedIndex,
-    SimilarityMatrix, StoreBacking,
+    CandidateSearch, EmbeddingTable, ShardParams, ShardPartition, ShardedIndex, SimilarityMatrix,
 };
 use ea_graph::EntityId;
 use rand::rngs::StdRng;
@@ -94,35 +93,5 @@ fn eight_thread_partial_routing_is_run_to_run_deterministic() {
         let pc: Vec<(u32, u32)> = c[i].iter().map(|&(r, s)| (r, s.to_bits())).collect();
         assert_eq!(pa, pb, "row {i} diverged between searches");
         assert_eq!(pa, pc, "row {i} diverged after rebuild");
-    }
-}
-
-#[test]
-fn eight_thread_mapped_shards_match_resident_shards() {
-    std::env::set_var("RAYON_NUM_THREADS", "8");
-
-    let mut rng = StdRng::seed_from_u64(23);
-    let raw_q = EmbeddingTable::xavier(90, 10, &mut rng);
-    let raw_c = EmbeddingTable::xavier(260, 10, &mut rng);
-    let all_q: Vec<usize> = (0..90).collect();
-    let all_c: Vec<usize> = (0..260).collect();
-    let queries = raw_q.gather_normalized(&all_q);
-    let corpus = raw_c.gather_normalized(&all_c);
-
-    let resident = ShardParams {
-        nshards: 3,
-        route_shards: 2,
-        ..ShardParams::default()
-    };
-    let mapped = ShardParams {
-        backing: StoreBacking::Mapped(MappedOptions::default()),
-        ..resident.clone()
-    };
-    let a = ShardedIndex::build(&corpus, &resident).search(&queries, 7);
-    let b = ShardedIndex::build(&corpus, &mapped).search(&queries, 7);
-    for i in 0..queries.rows() {
-        let pa: Vec<(u32, u32)> = a[i].iter().map(|&(r, s)| (r, s.to_bits())).collect();
-        let pb: Vec<(u32, u32)> = b[i].iter().map(|&(r, s)| (r, s.to_bits())).collect();
-        assert_eq!(pa, pb, "row {i} diverged between backings under 8 threads");
     }
 }

@@ -161,7 +161,7 @@ mod tests {
         let mut a = parse(
             &[comment(
                 4,
-                " exea-lint: allow(unsafe-boundary) -- vetted mmap shim call",
+                " exea-lint: allow(unsafe-boundary) -- vetted audited call",
             )],
             "f.rs",
         );

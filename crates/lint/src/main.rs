@@ -18,7 +18,7 @@
 //! Suppress a finding with an inline justification:
 //!
 //! ```text
-//! // exea-lint: allow(unsafe-boundary) -- vetted: mirrors the memmap shim
+//! // exea-lint: allow(unsafe-boundary) -- vetted: audited bounds-checked read
 //! ```
 
 mod allow;

@@ -10,7 +10,7 @@
 //! | `open-coded-float-sort` | NaN-safe total orders |
 //! | `unordered-float-fold` | deterministic merges (hash iteration order) |
 //! | `nondeterministic-par-idiom` | deterministic parallel merges |
-//! | `unsafe-boundary` | the vendored-memmap-only unsafe boundary |
+//! | `unsafe-boundary` | no unsafe code anywhere in the workspace |
 //! | `wall-clock-in-hot-path` | bit-identical, replayable hot paths |
 //! | `panic-in-library-path` | the daemon answers typed errors, never dies |
 //!
@@ -695,9 +695,8 @@ fn unsafe_boundary(t: &[Token], ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
                 ctx,
                 UNSAFE_BOUNDARY,
                 &t[i],
-                "`unsafe` outside the vendored memmap shim; first-party crates keep \
-                 `#![forbid(unsafe_code)]` so the mmap wrapper stays the workspace's \
-                 only unsafe surface"
+                "`unsafe` in first-party code; the workspace has no unsafe surface \
+                 and every first-party crate keeps `#![forbid(unsafe_code)]`"
                     .to_string(),
             );
         }

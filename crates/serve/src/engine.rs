@@ -123,11 +123,6 @@ pub enum MutateError {
         /// Dimension the engine serves.
         want: usize,
     },
-    /// A seal or compaction failed inside the engine — becomes
-    /// [`crate::protocol::Response::Internal`]. The pre-mutation segment
-    /// set is still intact and answering (see the LSM crash-consistency
-    /// tests).
-    Storage(String),
 }
 
 impl std::fmt::Display for MutateError {
@@ -136,7 +131,6 @@ impl std::fmt::Display for MutateError {
             MutateError::Dim { got, want } => {
                 write!(f, "vector has {got} values, engine dimension is {want}")
             }
-            MutateError::Storage(message) => write!(f, "live corpus mutation failed: {message}"),
         }
     }
 }
@@ -228,15 +222,13 @@ impl Engine {
         }
         let mut live = MutableIndex::new(target_table.dim(), lsm_params);
         for row in 0..target_table.rows() {
-            live.insert(row as u32, target_table.row(row))
-                .map_err(|e| ServeError::Config(format!("live corpus build failed: {e}")))?;
+            live.insert(row as u32, target_table.row(row));
         }
         // Fold the startup segments once so serving begins from the same
         // compacted shape regardless of how the seal budget divided the
         // corpus load.
         if live.segments() >= compact_segments {
-            live.compact()
-                .map_err(|e| ServeError::Config(format!("live corpus build failed: {e}")))?;
+            live.compact();
         }
 
         Ok(Engine {
@@ -338,12 +330,9 @@ impl Engine {
                 want: live.dim(),
             });
         }
-        let sealed = live
-            .insert(entity, vector)
-            .map_err(|e| MutateError::Storage(e.to_string()))?;
+        let sealed = live.insert(entity, vector);
         if sealed && live.segments() >= self.compact_segments {
-            live.compact()
-                .map_err(|e| MutateError::Storage(e.to_string()))?;
+            live.compact();
         }
         Ok(InsertAck {
             sealed,

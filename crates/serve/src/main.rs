@@ -165,10 +165,6 @@ fn main() {
         eprintln!("exea-serve: {e}");
         std::process::exit(2);
     }
-    if let Err(e) = ea_embed::mapped_backend_from_env() {
-        eprintln!("exea-serve: {e}");
-        std::process::exit(2);
-    }
 
     let args = parse_args();
 

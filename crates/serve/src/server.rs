@@ -712,12 +712,6 @@ fn dispatch(shared: &Shared, request: Request, deadline: Deadline) -> Response {
                         message: e.to_string(),
                     }
                 }
-                Err(e @ MutateError::Storage(_)) => {
-                    Counters::bump(&shared.counters.panics);
-                    Response::Internal {
-                        message: e.to_string(),
-                    }
-                }
             }
         }
         Request::Remove { entity } => {

@@ -4,14 +4,10 @@
 //! must make exactly the decisions the exact scan makes; with partial
 //! probing it must still produce a valid one-to-one repaired alignment.
 //! The same holds for every exhaustive engine layer (single, sharded, LSM)
-//! over every list storage, and for the sharded and LSM layers over every
-//! backing.
+//! over every list storage.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
-use ea_embed::{
-    CandidateSearch, IvfListStorage, IvfParams, LsmParams, MappedOptions, ShardParams, Sq8Params,
-    StoreBacking,
-};
+use ea_embed::{CandidateSearch, IvfListStorage, IvfParams, LsmParams, ShardParams, Sq8Params};
 use ea_models::{build_model, ModelKind, TrainConfig};
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
 
@@ -90,24 +86,16 @@ fn every_exhaustive_engine_layer_reproduces_exact_repair_and_verification() {
             storage,
             ..IvfParams::exhaustive()
         };
-        let mut layers = vec![CandidateSearch::Ivf(ivf.clone())];
-        for backing in [
-            StoreBacking::InMemory,
-            StoreBacking::Mapped(MappedOptions::default()),
-        ] {
-            layers.push(CandidateSearch::Sharded(ShardParams {
+        let layers = [
+            CandidateSearch::Ivf(ivf.clone()),
+            CandidateSearch::Sharded(ShardParams {
                 nshards: 3,
                 ivf: ivf.clone(),
-                backing: backing.clone(),
                 ..ShardParams::exhaustive()
-            }));
+            }),
             // A seal budget far below the corpus forces many segments.
-            layers.push(CandidateSearch::Lsm(LsmParams {
-                seal_rows: 64,
-                ivf: ivf.clone(),
-                backing,
-            }));
-        }
+            CandidateSearch::Lsm(LsmParams { seal_rows: 64, ivf }),
+        ];
         for search in layers {
             let name = search.name();
             let (predictions, repaired, stats, verdicts) = run(search);
