@@ -63,3 +63,22 @@ fn unknown_experiments_are_rejected() {
         &format!("unknown experiment \"nonsense\" (expected {names})"),
     );
 }
+
+#[test]
+fn retired_candidate_search_values_are_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_exea-bench"))
+        .arg("table1")
+        .env("EXEA_CANDIDATE_SEARCH", "sharded-ivf-sq8")
+        .output()
+        .expect("run exea-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr:?}");
+    assert!(out.stdout.is_empty(), "printed to stdout");
+    assert_eq!(stderr.lines().count(), 1, "stderr {stderr:?}");
+    assert!(
+        stderr.starts_with("exea-bench: ")
+            && stderr.contains("\"sharded-ivf-sq8\"")
+            && stderr.contains("exact, sq8, ivf or ivf-sq8"),
+        "stderr {stderr:?}"
+    );
+}

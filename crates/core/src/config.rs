@@ -33,19 +33,13 @@ pub struct ExeaConfig {
     /// the exact blocked scan, the IVF approximate pre-filter
     /// ([`CandidateSearch::Ivf`], optionally with SQ8 list storage), the
     /// SQ8 quantized scan ([`CandidateSearch::Sq8`]) for corpora where the
-    /// exact O(n_s·n_t) sweep dominates, or the sharded scatter-gather
-    /// engine ([`CandidateSearch::Sharded`]) that fans the corpus over
-    /// resident per-shard IVF engines and merges their partial top-k
-    /// lists, or the LSM mutable engine ([`CandidateSearch::Lsm`]) that layers sealed
-    /// segments under an exact-scanned in-memory tail so inserts/deletes
-    /// need no rebuild. At `nprobe = nlist` / `rerank_factor = usize::MAX`
-    /// (and, for shards, `route_shards = nshards`; for LSM, the default
-    /// exhaustive per-segment probing) the approximate paths are
-    /// bit-identical to the exact one; below that they trade recall for
-    /// query time, but every score they do return is still the bit-exact
-    /// f32 dot (see the README's recall/speed tables). Every engine
-    /// searches resident panels. The `EXEA_CANDIDATE_SEARCH` override
-    /// (eight values, see the README) switches this default.
+    /// exact O(n_s·n_t) sweep dominates. At `nprobe = nlist` /
+    /// `rerank_factor = usize::MAX` the approximate paths are bit-identical
+    /// to the exact one; below that they trade recall for query time, but
+    /// every score they do return is still the bit-exact f32 dot (see the
+    /// README's recall/speed tables). Every engine searches resident
+    /// panels. The `EXEA_CANDIDATE_SEARCH` override (four values, see the
+    /// README) switches this default.
     pub candidate_search: CandidateSearch,
 }
 

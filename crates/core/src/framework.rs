@@ -107,11 +107,9 @@ impl<'a> ExEa<'a> {
     /// all target entities (`k = config.top_k`) — the bounded O(n·k) form of
     /// the paper's ranked candidate matrix `M`, produced by the configured
     /// [`ea_embed::CandidateSearch`] strategy (exact blocked scan, IVF
-    /// pre-filter — optionally with SQ8 list storage — SQ8 quantized scan,
-    /// sharded scatter-gather over per-shard IVF engines, or the LSM
-    /// segments; approximate
-    /// strategies may miss candidates but never re-score the ones they
-    /// return). Built once at construction and shared by
+    /// pre-filter — optionally with SQ8 list storage — or SQ8 quantized
+    /// scan; approximate strategies may miss candidates but never re-score
+    /// the ones they return). Built once at construction and shared by
     /// prediction, repair (cr2/cr3) and candidate verification.
     pub fn candidate_index(&self) -> &CandidateIndex {
         &self.candidates

@@ -43,15 +43,13 @@
 //! configs to switch exact ↔ ANN.
 
 use crate::candidates::{
-    blocked_topk, clamped, CandidateIndex, Side, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
+    blocked_topk, clamped, CandidateIndex, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
 };
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::lsm::{lsm_pass, LsmParams};
 use crate::quantized::{
     sq8_select_and_rerank, sq8_topk_flat, QuantizedTable, Sq8Params, Sq8Scratch,
 };
-use crate::shard::{ShardParams, ShardedIndex};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
 use ea_graph::EntityId;
@@ -61,8 +59,8 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 /// Rows per parallel work block: the fan-out tile of k-means assignment and
-/// of every engine's query loop (IVF and SQ8 search, shard routing, the
-/// segment gather-merge, the LSM tail scan).
+/// of every engine's query loop (IVF and SQ8 search, the LSM gather-merge
+/// and tail scan).
 pub(crate) const ROW_TILE: usize = 128;
 
 /// How an [`IvfIndex`] stores (and scans) its inverted lists.
@@ -252,12 +250,6 @@ impl IvfIndex {
     /// degenerate cluster).
     pub fn centroid(&self, c: usize) -> &[f32] {
         self.centroids.row(c)
-    }
-
-    /// The full centroid panel — what the shard router scans to rank shards
-    /// by IVF-centroid proximity.
-    pub(crate) fn centroid_panel(&self) -> &EmbeddingTable {
-        &self.centroids
     }
 
     /// The corpus rows of list `c`, ascending.
@@ -501,10 +493,7 @@ fn assign_sweep(
 /// final per-row assignments.
 ///
 /// Callers guarantee `corpus.rows() > 0` and `resolved_nlist(n) > 0`.
-pub(crate) fn train_kmeans(
-    corpus: &EmbeddingTable,
-    params: &IvfParams,
-) -> (EmbeddingTable, Vec<u32>) {
+fn train_kmeans(corpus: &EmbeddingTable, params: &IvfParams) -> (EmbeddingTable, Vec<u32>) {
     let n = corpus.rows();
     let dim = corpus.dim();
     let nlist = params.resolved_nlist(n);
@@ -553,7 +542,7 @@ pub(crate) fn train_kmeans(
 /// CSR inverted lists from per-row centroid assignments; filling rows in
 /// ascending order per list keeps the stable-fill deterministic (lists
 /// ascend).
-pub(crate) fn csr_from_assignments(assignments: &[u32], nlist: usize) -> (Vec<u32>, Vec<u32>) {
+fn csr_from_assignments(assignments: &[u32], nlist: usize) -> (Vec<u32>, Vec<u32>) {
     let mut counts = vec![0u32; nlist];
     for &c in assignments {
         counts[c as usize] += 1;
@@ -629,21 +618,6 @@ pub enum CandidateSearch {
     /// exact kernel re-scores them — returned scores stay bit-exact f32
     /// dots (subset-only approximation, like IVF).
     Sq8(Sq8Params),
-    /// The sharded scatter-gather engine ([`crate::ShardedIndex`]): the
-    /// corpus splits into independently built per-shard IVF engines, a
-    /// router ranks shards by centroid proximity, and per-shard partial
-    /// top-k lists are deterministically merged — bit-identical to a
-    /// single-shard build when every shard is routed, subset-only below
-    /// that.
-    Sharded(ShardParams),
-    /// The LSM-style mutable engine ([`crate::MutableIndex`]): immutable
-    /// sealed segments plus an exact-scanned in-memory tail, tombstone
-    /// shadowing for deletes, deterministic caller-driven compaction. As a
-    /// one-shot strategy it builds the index by inserting the corpus rows
-    /// (sealing every [`LsmParams::seal_rows`]) and runs the gather-merge
-    /// search — bit-identical to a single engine over the corpus at the
-    /// default exhaustive per-segment settings, subset-only below them.
-    Lsm(LsmParams),
 }
 
 /// A rejected environment-variable override: the variable, the offending
@@ -673,34 +647,15 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
-/// Every non-empty `EXEA_CANDIDATE_SEARCH` value: the grammar `exact`,
-/// `sq8` and `[sharded-|lsm-]{ivf|ivf-sq8}` spelled out, because
-/// [`CandidateSearch::name`] hands out `&'static str`.
-const OVERRIDE_VALUES: [&str; 8] = [
-    "exact",
-    "sq8",
-    "ivf",
-    "ivf-sq8",
-    "sharded-ivf",
-    "sharded-ivf-sq8",
-    "lsm-ivf",
-    "lsm-ivf-sq8",
-];
-
 /// Accepted `EXEA_CANDIDATE_SEARCH` values, for error messages.
-const CANDIDATE_SEARCH_EXPECTED: &str = "[sharded-|lsm-]{ivf|ivf-sq8}, exact or sq8: \
-     exact, sq8, ivf, ivf-sq8, sharded-ivf, sharded-ivf-sq8, lsm-ivf, lsm-ivf-sq8";
+const CANDIDATE_SEARCH_EXPECTED: &str = "exact, sq8, ivf or ivf-sq8";
 
 impl CandidateSearch {
     /// The default strategy honouring the `EXEA_CANDIDATE_SEARCH`
     /// environment override — the hook CI uses to run the whole pipeline
     /// (prediction, repair, verification, anchor mining) on an approximate
-    /// engine end to end. Recognised values compose as
-    /// `[sharded-|lsm-]{ivf|ivf-sq8}`, plus `exact` and `sq8`, each with
-    /// default parameters: `ivf-sq8` is IVF with SQ8 list storage; `sharded-`
-    /// runs the IVF engine per shard (default [`ShardParams`]: auto shard
-    /// count, every shard routed) and `lsm-` per sealed segment (default
-    /// [`LsmParams`]: 512-row seal budget, exhaustive per-segment probing).
+    /// engine end to end. Recognised values are `exact`, `sq8`, `ivf` and
+    /// `ivf-sq8` (IVF with SQ8 list storage), each with default parameters.
     /// Unset or empty means [`CandidateSearch::Exact`].
     ///
     /// Config `Default` impls ([`ExeaConfig`](https://docs.rs/exea-core),
@@ -747,94 +702,59 @@ impl CandidateSearch {
     /// Parses one `EXEA_CANDIDATE_SEARCH` value; `None` for input outside
     /// the grammar (the empty string means "unset": `Exact`).
     fn parse_override(value: &str) -> Option<Self> {
-        if value.is_empty() {
-            return Some(CandidateSearch::Exact);
-        }
-        let (layer, engine) = ["sharded-", "lsm-"]
-            .into_iter()
-            .find_map(|layer| Some((layer, value.strip_prefix(layer)?)))
-            .unwrap_or(("", value));
-        let storage = match engine {
-            "ivf" => IvfListStorage::Flat,
-            "ivf-sq8" => IvfListStorage::Sq8(Sq8Params::default()),
-            "exact" if layer.is_empty() => return Some(CandidateSearch::Exact),
-            "sq8" if layer.is_empty() => return Some(CandidateSearch::Sq8(Sq8Params::default())),
+        Some(match value {
+            "" | "exact" => CandidateSearch::Exact,
+            "sq8" => CandidateSearch::Sq8(Sq8Params::default()),
+            "ivf" => CandidateSearch::Ivf(IvfParams::default()),
+            "ivf-sq8" => CandidateSearch::Ivf(IvfParams {
+                storage: IvfListStorage::Sq8(Sq8Params::default()),
+                ..IvfParams::default()
+            }),
             _ => return None,
-        };
-        let with = |base: IvfParams| IvfParams { storage, ..base };
-        Some(match layer {
-            "sharded-" => {
-                let base = ShardParams::default();
-                CandidateSearch::Sharded(ShardParams {
-                    ivf: with(base.ivf),
-                    ..base
-                })
-            }
-            "lsm-" => {
-                let base = LsmParams::default();
-                CandidateSearch::Lsm(LsmParams {
-                    ivf: with(base.ivf),
-                    ..base
-                })
-            }
-            _ => CandidateSearch::Ivf(with(IvfParams::default())),
         })
-    }
-
-    /// This strategy's `(layer prefix, engine)` in the override grammar.
-    fn grammar_parts(&self) -> (&'static str, &'static str) {
-        let (layer, ivf) = match self {
-            CandidateSearch::Exact => return ("", "exact"),
-            CandidateSearch::Sq8(_) => return ("", "sq8"),
-            CandidateSearch::Ivf(params) => ("", params),
-            CandidateSearch::Sharded(params) => ("sharded-", &params.ivf),
-            CandidateSearch::Lsm(params) => ("lsm-", &params.ivf),
-        };
-        let engine = match ivf.storage {
-            IvfListStorage::Flat => "ivf",
-            IvfListStorage::Sq8(_) => "ivf-sq8",
-        };
-        (layer, engine)
     }
 
     /// One directed pass of this strategy's one-shot build: the top-`cap`
     /// corpus rows of every query row, flattened best-first.
-    fn directed_pass(&self, queries: &Side, corpus: &Side, cap: usize) -> Vec<Ranked> {
+    fn directed_pass(
+        &self,
+        queries: &EmbeddingTable,
+        corpus: &EmbeddingTable,
+        cap: usize,
+    ) -> Vec<Ranked> {
         match self {
             CandidateSearch::Exact => blocked_topk(
-                &queries.norm,
-                &corpus.norm,
+                queries,
+                corpus,
                 cap,
                 DEFAULT_ROW_TILE,
                 DEFAULT_COL_TILE,
                 clamped,
             ),
             CandidateSearch::Ivf(params) => {
-                let index = IvfIndex::build(&corpus.norm, params);
+                let index = IvfIndex::build(corpus, params);
                 let nprobe = params.resolved_nprobe(index.nlist());
-                index.search_flat(&queries.norm, &corpus.norm, cap, nprobe)
+                index.search_flat(queries, corpus, cap, nprobe)
             }
             CandidateSearch::Sq8(params) => {
-                let quantized = QuantizedTable::build(&corpus.norm);
-                let rerank = params.resolved_rerank(cap, corpus.norm.rows());
-                sq8_topk_flat(&queries.norm, &corpus.norm, &quantized, cap, rerank)
+                let quantized = QuantizedTable::build(corpus);
+                let rerank = params.resolved_rerank(cap, corpus.rows());
+                sq8_topk_flat(queries, corpus, &quantized, cap, rerank)
             }
-            CandidateSearch::Sharded(params) => {
-                let index = ShardedIndex::build(&corpus.norm, params);
-                index.search_flat(&queries.norm, cap, params.resolved_route(index.nshards()))
-            }
-            CandidateSearch::Lsm(params) => lsm_pass(queries, corpus, cap, params),
         }
     }
 
     /// Short human-readable strategy label for logs and bench tables: the
     /// strategy's `EXEA_CANDIDATE_SEARCH` spelling.
     pub fn name(&self) -> &'static str {
-        let (layer, engine) = self.grammar_parts();
-        OVERRIDE_VALUES
-            .into_iter()
-            .find(|value| value.strip_prefix(layer) == Some(engine))
-            .expect("every strategy spells a grammar value")
+        match self {
+            CandidateSearch::Exact => "exact",
+            CandidateSearch::Sq8(_) => "sq8",
+            CandidateSearch::Ivf(params) => match params.storage {
+                IvfListStorage::Flat => "ivf",
+                IvfListStorage::Sq8(_) => "ivf-sq8",
+            },
+        }
     }
 
     /// Builds the forward top-`k` candidate lists between the embeddings of
@@ -900,17 +820,7 @@ mod tests {
             CandidateSearch::from_env_value(None).unwrap(),
             CandidateSearch::Exact
         );
-        for value in [
-            "",
-            "exact",
-            "ivf",
-            "sq8",
-            "ivf-sq8",
-            "sharded-ivf",
-            "sharded-ivf-sq8",
-            "lsm-ivf",
-            "lsm-ivf-sq8",
-        ] {
+        for value in ["", "exact", "ivf", "sq8", "ivf-sq8"] {
             let search = CandidateSearch::from_env_value(Some(value)).unwrap();
             if !value.is_empty() {
                 assert_eq!(search.name(), value);
@@ -925,8 +835,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("EXEA_CANDIDATE_SEARCH"), "got: {msg}");
         assert!(msg.contains("\"ivff\""), "got: {msg}");
-        assert!(msg.contains("sharded-ivf-sq8"), "got: {msg}");
-        assert!(msg.contains("lsm-ivf-sq8"), "got: {msg}");
+        assert!(msg.contains("ivf-sq8"), "got: {msg}");
     }
 
     #[test]
@@ -957,56 +866,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_override_values_parse_strictly() {
-        for (value, sq8) in [("sharded-ivf", false), ("sharded-ivf-sq8", true)] {
-            let parsed = CandidateSearch::parse_override(value)
-                .unwrap_or_else(|| panic!("{value} must parse"));
-            assert_eq!(parsed.name(), value);
-            let CandidateSearch::Sharded(params) = &parsed else {
-                panic!("{value} must parse to Sharded");
-            };
-            // Defaults keep the override validation-safe: auto shard count,
-            // every shard routed — bit-identical to the unsharded engine.
-            assert_eq!((params.nshards, params.route_shards), (0, 0));
-            assert_eq!(matches!(params.ivf.storage, IvfListStorage::Sq8(_)), sq8);
-        }
-        for typo in ["sharded", "sharded-sq8", "sharded-exact", "ivf-sharded"] {
-            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
-        }
-    }
-
-    #[test]
-    fn lsm_override_values_parse_strictly() {
-        for (value, sq8) in [("lsm-ivf", false), ("lsm-ivf-sq8", true)] {
-            let parsed = CandidateSearch::parse_override(value)
-                .unwrap_or_else(|| panic!("{value} must parse"));
-            let CandidateSearch::Lsm(params) = &parsed else {
-                panic!("{value} must parse to Lsm");
-            };
-            assert_eq!(parsed.name(), value);
-            // Defaults are validation-friendly: exhaustive per-segment
-            // probing, so the engine is bit-identical to the exact scan.
-            assert_eq!(params.ivf.nprobe, usize::MAX, "{value}");
-            assert_eq!(params.seal_rows, LsmParams::default().seal_rows);
-            assert_eq!(
-                matches!(params.ivf.storage, IvfListStorage::Sq8(_)),
-                sq8,
-                "{value}"
-            );
-        }
-        for typo in ["lsm", "lsm-sq8", "lsm-exact", "ivf-lsm"] {
-            assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
-        }
-    }
-
-    #[test]
     fn override_grammar_accepts_exactly_its_values() {
         // Every listed value round-trips through the parser and the name,
         // and the error message spells the whole grammar.
         let message = CandidateSearch::from_env_value(Some("ivff"))
             .unwrap_err()
             .to_string();
-        for value in OVERRIDE_VALUES {
+        for value in ["exact", "sq8", "ivf", "ivf-sq8"] {
             let parsed = CandidateSearch::parse_override(value)
                 .unwrap_or_else(|| panic!("{value} must parse"));
             assert_eq!(parsed.name(), value);
@@ -1014,8 +880,9 @@ mod tests {
         }
         // Off-grammar combinations of otherwise valid parts must not
         // silently fall back to Exact either. No engine takes a `-mapped`
-        // suffix: the out-of-core segment backing is gone, so its four
-        // former spellings are typos like any other.
+        // suffix (the out-of-core segment backing is gone) or a `sharded-`
+        // or `lsm-` layer prefix (the one-shot sharded and LSM strategies
+        // are gone), so their former spellings are typos like any other.
         for typo in [
             "ivf-mapped",
             "ivf-sq8-mapped",
@@ -1024,6 +891,10 @@ mod tests {
             "sharded-ivf-sq8-mapped",
             "lsm-ivf-mapped",
             "lsm-ivf-sq8-mapped",
+            "sharded-ivf",
+            "sharded-ivf-sq8",
+            "lsm-ivf",
+            "lsm-ivf-sq8",
         ] {
             let err = CandidateSearch::from_env_value(Some(typo)).unwrap_err();
             assert_eq!(
@@ -1031,49 +902,20 @@ mod tests {
                 ("EXEA_CANDIDATE_SEARCH", typo)
             );
         }
-        assert!(!message.contains("mapped"), "{message}");
-        assert_eq!(OVERRIDE_VALUES.len(), 8);
+        for retired in ["mapped", "sharded", "lsm"] {
+            assert!(!message.contains(retired), "{message}");
+        }
         for typo in [
-            "ivf-mapped",
-            "ivf-sq8-mapped",
-            "sq8-mapped",
             "exact-mapped",
             "lsm-sharded-ivf",
+            "sharded",
+            "lsm",
             "sq8-sq8",
             "mapped",
             "-mapped",
             "ivff",
         ] {
             assert_eq!(CandidateSearch::parse_override(typo), None, "{typo}");
-        }
-    }
-
-    #[test]
-    fn lsm_strategy_with_exhaustive_segments_matches_exact() {
-        let s = random_table(41, 30, 8);
-        let t = random_table(42, 37, 8);
-        let sids: Vec<EntityId> = (0..30).map(EntityId).collect();
-        let tids: Vec<EntityId> = (0..37).map(EntityId).collect();
-        let exact = CandidateSearch::Exact.bidirectional_index(&s, &sids, &t, &tids, 4);
-        // A seal budget far below the corpus forces multiple segments.
-        let params = LsmParams {
-            seal_rows: 10,
-            ..LsmParams::default()
-        };
-        let lsm = CandidateSearch::Lsm(params).bidirectional_index(&s, &sids, &t, &tids, 4);
-        assert!(lsm.has_reverse());
-        for i in 0..sids.len() {
-            let a: Vec<(EntityId, u32)> =
-                exact.candidates(i).map(|(e, s)| (e, s.to_bits())).collect();
-            let b: Vec<(EntityId, u32)> =
-                lsm.candidates(i).map(|(e, s)| (e, s.to_bits())).collect();
-            assert_eq!(a, b, "row {i}: exhaustive lsm must equal exact");
-        }
-        for &t_id in &tids {
-            assert_eq!(
-                exact.best_source_for_target(t_id),
-                lsm.best_source_for_target(t_id)
-            );
         }
     }
 
@@ -1233,42 +1075,6 @@ mod tests {
             let b = ivf.best_source_for_target(t_id).unwrap();
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-    }
-
-    #[test]
-    fn sharded_strategy_with_exhaustive_engines_matches_exact() {
-        use crate::shard::{ShardParams, ShardPartition};
-        use ea_graph::EntityId;
-        let s = random_table(31, 28, 6);
-        let t = random_table(32, 45, 6);
-        let sids: Vec<EntityId> = (0..28).map(EntityId).collect();
-        let tids: Vec<EntityId> = (0..45).map(EntityId).collect();
-        let exact = CandidateSearch::Exact.bidirectional_index(&s, &sids, &t, &tids, 4);
-        for partition in [ShardPartition::Clustered, ShardPartition::Contiguous] {
-            let params = ShardParams {
-                nshards: 3,
-                partition,
-                ..ShardParams::exhaustive()
-            };
-            let sharded =
-                CandidateSearch::Sharded(params).bidirectional_index(&s, &sids, &t, &tids, 4);
-            assert!(sharded.has_reverse());
-            for i in 0..28 {
-                let a: Vec<(EntityId, u32)> =
-                    exact.candidates(i).map(|(e, s)| (e, s.to_bits())).collect();
-                let b: Vec<(EntityId, u32)> = sharded
-                    .candidates(i)
-                    .map(|(e, s)| (e, s.to_bits()))
-                    .collect();
-                assert_eq!(a, b, "row {i}: exhaustive sharded must equal exact");
-            }
-            for &t_id in &tids {
-                let a = exact.best_source_for_target(t_id).unwrap();
-                let b = sharded.best_source_for_target(t_id).unwrap();
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
         }
     }
 }

@@ -151,24 +151,12 @@ pub(crate) fn clamped(_row: usize, _col: usize, dot: f32) -> f32 {
     dot.clamp(-1.0, 1.0)
 }
 
-/// One side of a one-shot candidate search: the raw embedding table, the
-/// entities whose rows take part, and those rows gathered and L2-normalised
-/// once ([`EmbeddingTable::gather_normalized`]).
-pub(crate) struct Side<'a> {
-    pub(crate) table: &'a EmbeddingTable,
-    pub(crate) ids: &'a [EntityId],
-    pub(crate) norm: EmbeddingTable,
-}
-
-impl<'a> Side<'a> {
-    fn new(table: &'a EmbeddingTable, ids: &'a [EntityId]) -> Self {
-        let rows: Vec<usize> = ids.iter().map(|id| id.index()).collect();
-        Side {
-            table,
-            ids,
-            norm: table.gather_normalized(&rows),
-        }
-    }
+/// The rows of `ids` gathered from `table` and L2-normalised once
+/// ([`EmbeddingTable::gather_normalized`]): one side of a one-shot candidate
+/// search.
+fn normalized_side(table: &EmbeddingTable, ids: &[EntityId]) -> EmbeddingTable {
+    let rows: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+    table.gather_normalized(&rows)
 }
 
 /// Bounded top-k candidate lists between source and target entities — the
@@ -273,16 +261,7 @@ impl CandidateIndex {
             target_ids,
             k,
             reverse,
-            |queries, corpus, cap| {
-                blocked_topk(
-                    &queries.norm,
-                    &corpus.norm,
-                    cap,
-                    row_tile,
-                    col_tile,
-                    clamped,
-                )
-            },
+            |queries, corpus, cap| blocked_topk(queries, corpus, cap, row_tile, col_tile, clamped),
         )
     }
 
@@ -290,8 +269,9 @@ impl CandidateIndex {
     /// run the engine's directed `pass` source → target for the forward
     /// lists and, when `reverse`, target → source for the reverse lists (the
     /// transposed problem; the kernel is symmetric bit for bit), then
-    /// assemble. A pass returns exactly `cap` best-first entries per query
-    /// row, `Ranked::index` being a corpus-side position.
+    /// assemble. A pass gets the normalised query and corpus rows and
+    /// returns exactly `cap` best-first entries per query row,
+    /// `Ranked::index` being a corpus-side position.
     pub(crate) fn from_passes(
         source_table: &EmbeddingTable,
         source_ids: &[EntityId],
@@ -299,10 +279,10 @@ impl CandidateIndex {
         target_ids: &[EntityId],
         k: usize,
         reverse: bool,
-        pass: impl Fn(&Side, &Side, usize) -> Vec<Ranked>,
+        pass: impl Fn(&EmbeddingTable, &EmbeddingTable, usize) -> Vec<Ranked>,
     ) -> Self {
-        let source = Side::new(source_table, source_ids);
-        let target = Side::new(target_table, target_ids);
+        let source = normalized_side(source_table, source_ids);
+        let target = normalized_side(target_table, target_ids);
         let n_s = source_ids.len();
         let n_t = target_ids.len();
         let row_len = k.min(n_t);

@@ -27,7 +27,7 @@ impl EmbeddingTable {
     }
 
     /// Wraps an existing row-major buffer (`rows * dim` values) as a table —
-    /// how the shard and LSM segments own the rows they gathered.
+    /// how the LSM segments own the rows they gathered.
     ///
     /// # Panics
     /// Panics if `data.len() != rows * dim`.

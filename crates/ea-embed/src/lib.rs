@@ -42,26 +42,17 @@
 //!   ([`CandidateSearch::Sq8`]).
 //! * [`topk`] — the shared bounded top-k selector every engine ranks with,
 //!   plus the deterministic order-preserving merge of best-first partial
-//!   lists that makes per-shard (and per-block) results composable: merging
-//!   partials through a [`topk::TopK`] selects bit for bit what one global
-//!   selector over the union would.
-//! * `segment` (crate-private) — the one segment layer the next two modules
-//!   share: a segment is an immutable, resident IVF engine over a fixed row
-//!   set, and one gather folds per-segment partial lists through
-//!   [`topk::TopK::merge`] in fixed query tiles.
-//! * [`shard`] — horizontal scale-out = segments + a clustered partition +
-//!   a centroid router: [`ShardedIndex`] splits the corpus into N
-//!   independently built segments, a [`ShardRouter`] ranks shards by
-//!   IVF-centroid proximity so most queries probe few shards, and the
-//!   partial lists are gathered — bit-identical to a single-shard build when
-//!   every shard is routed ([`CandidateSearch::Sharded`]).
+//!   lists that makes per-segment (and per-block) results composable:
+//!   merging partials through a [`topk::TopK`] selects bit for bit what one
+//!   global selector over the union would.
 //! * [`lsm`] — incremental corpora = time-ordered segments + shadow masks:
-//!   [`lsm::MutableIndex`] layers immutable sealed segments under a small
-//!   exact-scanned in-memory mutable segment, with tombstone shadowing for
-//!   deletes and a deterministic caller-driven `compact()`. The shared
-//!   gather keeps an N-segment search bit-identical to a single engine over
-//!   the live corpus ([`CandidateSearch::Lsm`]), so inserts and deletes no
-//!   longer force a full rebuild.
+//!   [`lsm::MutableIndex`] layers immutable sealed segments (each a resident
+//!   IVF engine over its rows) under a small exact-scanned in-memory mutable
+//!   segment, with tombstone shadowing for deletes and a deterministic
+//!   caller-driven `compact()`. The gather-merge keeps an N-segment search
+//!   bit-identical to a single engine over the live corpus, so inserts and
+//!   deletes no longer force a full rebuild. `exea-serve` serves its live
+//!   full tier from it.
 //! * [`order`] — NaN-safe total-order comparators every ranking sorts with.
 //!
 //! Every engine searches resident `f32` panels: the corpora this
@@ -89,8 +80,6 @@ pub mod optimizer;
 pub mod order;
 pub mod quantized;
 pub mod sampling;
-mod segment;
-pub mod shard;
 pub mod similarity;
 pub mod topk;
 pub mod vector;
@@ -102,5 +91,4 @@ pub use lsm::{LsmParams, MutableIndex};
 pub use optimizer::{Adagrad, Optimizer, Sgd};
 pub use quantized::{QuantizedTable, Sq8Params};
 pub use sampling::{HardNegativeCache, NegativeSampler, Negatives};
-pub use shard::{ShardParams, ShardPartition, ShardRouter, ShardedIndex};
 pub use similarity::{greedy_alignment, select_top_k_by, top_k_targets, SimilarityMatrix};

@@ -3,13 +3,12 @@
 //!
 //! Every other engine in this crate is build-once: any insert or delete
 //! means a full rebuild. A [`MutableIndex`] lifts that restriction the way
-//! log-structured merge trees do: it is the crate's segment layer (the one
-//! [`crate::ShardedIndex`] runs on) under time-ordered segments plus shadow
+//! log-structured merge trees do, with time-ordered segments plus shadow
 //! masks:
 //!
 //! * **Sealed segments** — immutable per-segment engines over earlier rows:
-//!   the rows plus an [`IvfIndex`](crate::IvfIndex) over them. Exactly the
-//!   single engine the property suites pin, over a subset of the live rows.
+//!   the rows plus an [`IvfIndex`] over them. Exactly the single engine the
+//!   property suites pin, over a subset of the live rows.
 //! * **The mutable segment** — a small in-memory tail of recently inserted
 //!   rows, normalised once on insert and scanned *exactly* with the shared
 //!   [`crate::kernel`] (clamped bit-exact dots, like every engine).
@@ -23,15 +22,13 @@
 //! can never starve the merge), shadowed rows are filtered, segment-local
 //! rows are remapped to *canonical live positions* — ascending (segment id,
 //! local row), mutable segment last — and the per-query lists are folded
-//! through one [`TopK`] ([`TopK::merge`]), the gather the shard layer
-//! shares. The remap is monotone within each segment, so by the same
-//! set-purity argument the shard layer pins
-//! (`rank_cmp` is a strict total order ⇒ the merged selection is a pure
-//! function of the candidate multiset), a search over N segments is
-//! **bit-identical** — ids and score bits — to a single engine built over
-//! the live rows gathered in canonical order (`tests/prop_lsm.rs` pins it
-//! for any interleaving of inserts, deletes, seals and compactions, at
-//! exhaustive per-segment settings; below them the approximation stays
+//! through one [`TopK`] ([`TopK::merge`]). The remap is monotone within
+//! each segment and `rank_cmp` is a strict total order, so the merged
+//! selection is a pure function of the candidate multiset: a search over N
+//! segments is **bit-identical** — ids and score bits — to a single engine
+//! built over the live rows gathered in canonical order (`tests/prop_lsm.rs`
+//! pins it for any interleaving of inserts, deletes, seals and compactions,
+//! at exhaustive per-segment settings; below them the approximation stays
 //! subset-only, scores always bit-exact).
 //!
 //! When the mutable segment reaches [`LsmParams::seal_rows`] buffered rows
@@ -43,17 +40,11 @@
 //! runs. Seals and compactions cannot fail. Compaction is synchronous and
 //! caller-driven: nothing in this module reads a clock, so *when* to
 //! compact is policy the caller owns (`exea-serve` compacts on a
-//! segment-count threshold).
-//!
-//! [`CandidateSearch::Lsm`](crate::CandidateSearch::Lsm) threads the engine
-//! through the one-shot candidate path (`EXEA_CANDIDATE_SEARCH=lsm-*`), so
-//! prediction, repair and verification downstream ride it unchanged.
+//! segment-count threshold and serves its full tier from this engine).
 
-use crate::ann::{IvfParams, ROW_TILE};
-use crate::candidates::Side;
+use crate::ann::{IvfIndex, IvfParams, ROW_TILE};
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
-use crate::segment::{self, SegmentStore};
 use crate::topk::{Ranked, TopK};
 use crate::vector;
 use rayon::prelude::*;
@@ -64,8 +55,8 @@ const DEFAULT_SEAL_ROWS: usize = 512;
 
 /// Tuning knobs of the LSM engine.
 ///
-/// The default favours validation, like [`crate::ShardParams::exhaustive`]:
-/// every inverted list of every sealed segment is probed, so the engine is
+/// The default favours validation, like [`IvfParams::exhaustive`]: every
+/// inverted list of every sealed segment is probed, so the engine is
 /// bit-identical to the exact scan over the live rows. Dial
 /// `ivf.nprobe` down (or switch `ivf.storage` to SQ8) to trade recall for
 /// speed once a deployment is validated — the approximation stays
@@ -108,27 +99,36 @@ enum Slot {
     Mem { row: u32 },
 }
 
-/// One immutable sealed segment: its local-row → entity map, the shadow
-/// mask newer inserts/deletes maintain, and the engine over its rows.
+/// One immutable sealed segment: its rows, the [`IvfIndex`] over them, its
+/// local-row → entity map and the shadow mask newer inserts/deletes
+/// maintain.
 #[derive(Debug)]
 struct Segment {
+    /// The segment rows, normalised, in segment-local order.
+    table: EmbeddingTable,
+    /// The engine over `table` (owns the SQ8 codes when the params ask for
+    /// them).
+    index: IvfIndex,
     /// `entities[local]` is the entity id of segment-local row `local`.
     entities: Vec<u32>,
     /// `alive[local]` — false once a newer segment shadows the row.
     alive: Vec<bool>,
     /// Count of shadowed rows (`alive` entries that are false).
     dead: usize,
-    store: SegmentStore,
 }
 
 impl Segment {
-    /// A segment over `table`'s rows, all live, built per `params`.
+    /// A segment over `table`'s rows, all live, built per `params`. Rows
+    /// are used as stored (already normalised: dividing a unit row by its
+    /// ≈1.0 norm again would perturb the low bits and break bit-identity
+    /// with a single engine).
     fn build(table: EmbeddingTable, entities: Vec<u32>, params: &LsmParams) -> Segment {
         Segment {
+            index: IvfIndex::build(&table, &params.ivf),
+            table,
             alive: vec![true; entities.len()],
             dead: 0,
             entities,
-            store: SegmentStore::build(table, &params.ivf),
         }
     }
 
@@ -143,10 +143,9 @@ impl Segment {
     /// Appends this segment's live rows (ascending local order, the
     /// canonical order) to `data`/`entities` — the compaction gather.
     fn gather_live(&self, data: &mut Vec<f32>, entities: &mut Vec<u32>) {
-        let table = self.store.table();
         for (local, &alive) in self.alive.iter().enumerate() {
             if alive {
-                data.extend_from_slice(table.row(local));
+                data.extend_from_slice(self.table.row(local));
                 entities.push(self.entities[local]);
             }
         }
@@ -252,7 +251,9 @@ impl MutableIndex {
             + self
                 .sealed
                 .iter()
-                .map(|seg| seg.entities.len() * 5 + seg.store.resident_bytes())
+                .map(|seg| {
+                    seg.entities.len() * 5 + seg.table.data().len() * 4 + seg.index.resident_bytes()
+                })
                 .sum::<usize>()
     }
 
@@ -472,7 +473,8 @@ impl MutableIndex {
             }
             let (pos, next) = Self::canonical_positions(&seg.alive, base);
             let cap_s = (cap + seg.dead).min(seg.rows());
-            let flat = seg.store.search_flat(queries, cap_s, &self.params.ivf);
+            let nprobe = self.params.ivf.resolved_nprobe(seg.index.nlist());
+            let flat = seg.index.search_flat(queries, &seg.table, cap_s, nprobe);
             debug_assert_eq!(flat.len(), n_q * cap_s, "segment lists must be full");
             let lists: Vec<Vec<Ranked>> = (0..n_q)
                 .map(|q| {
@@ -494,12 +496,29 @@ impl MutableIndex {
         }
 
         // Gather: per query, fold the partial lists through one selector
-        // in fixed segment order — the merge contract makes the kept set a
-        // pure function of the candidate multiset, so segment boundaries
-        // (and rayon scheduling inside the scatter) can't change a bit.
-        segment::gather(n_q, cap, |q| {
-            partials.iter().map(move |lists| lists[q].as_slice())
-        })
+        // in fixed segment order, over fixed query tiles concatenated in
+        // query order — the merge contract makes the kept set a pure
+        // function of the candidate multiset, so segment boundaries (and
+        // rayon scheduling inside the scatter) can't change a bit.
+        let tiles: Vec<usize> = (0..n_q).step_by(ROW_TILE).collect();
+        tiles
+            .par_iter()
+            .map(|&start| {
+                let end = (start + ROW_TILE).min(n_q);
+                let mut out = Vec::with_capacity((end - start) * cap);
+                for q in start..end {
+                    let mut select = TopK::new(cap);
+                    for lists in &partials {
+                        select.merge(&lists[q]);
+                    }
+                    let merged = select.into_sorted();
+                    debug_assert_eq!(merged.len(), cap, "partials must fill every selection");
+                    out.extend(merged);
+                }
+                out
+            })
+            .collect::<Vec<_>>()
+            .concat()
     }
 
     /// [`MutableIndex::search_flat`] with `Ranked::index` remapped to
@@ -563,29 +582,9 @@ fn normalize_into(row: &[f32], out: &mut [f32]) {
     }
 }
 
-/// One directed LSM pass of the one-shot [`crate::CandidateSearch`] path:
-/// a [`MutableIndex`] over the corpus side's *raw* rows (insertion
-/// normalises each once, bit-identically to the one-time gather, where
-/// renormalising a gathered unit row would change low bits), sealing every
-/// `seal_rows` inserts, searched with the normalised query rows. Corpus
-/// entities are corpus-local positions, as the assembly expects.
-pub(crate) fn lsm_pass(
-    queries: &Side,
-    corpus: &Side,
-    cap: usize,
-    params: &LsmParams,
-) -> Vec<Ranked> {
-    let mut index = MutableIndex::new(corpus.table.dim(), params.clone());
-    for (i, id) in corpus.ids.iter().enumerate() {
-        index.insert(i as u32, corpus.table.row(id.index()));
-    }
-    index.search(&queries.norm, cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ann::IvfIndex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -18,12 +18,12 @@
 //! **Merge contract.** Because `rank_cmp` is a *strict total order* over
 //! candidates with distinct indices, the kept set of a [`TopK`] is a pure
 //! function of the multiset of pushed candidates — push order never matters.
-//! Merging per-shard (or per-block) partial top-k lists through a fresh
+//! Merging per-segment (or per-block) partial top-k lists through a fresh
 //! [`TopK`] therefore selects exactly what one global [`TopK`] over the
 //! concatenated inputs would have selected, bit for bit, ids and score bits
-//! alike. This is the property the scatter-gather shard layer
-//! ([`crate::shard`]) is built on: shards compute partials independently and
-//! in parallel, and the gather step merges them deterministically.
+//! alike. This is the property the LSM gather-merge ([`crate::lsm`]) is
+//! built on: segments compute partials independently, and the gather step
+//! merges them deterministically.
 
 use crate::order;
 use std::cmp::Ordering;
@@ -36,7 +36,8 @@ pub struct Ranked {
     /// every engine of this crate).
     pub score: f32,
     /// The candidate's row/column index in whatever table the engine scanned.
-    /// Shard engines remap this from shard-local to global before merging.
+    /// The LSM engine remaps this from segment-local to canonical live
+    /// positions before merging.
     pub index: u32,
 }
 
@@ -48,7 +49,7 @@ impl Ranked {
     /// made under it match the dense reference exactly, including tie-breaks
     /// — and, being a total order, the selected set is independent of the
     /// order candidates are pushed in (the property the IVF pre-filter's
-    /// list-order scans and the shard merge rely on).
+    /// list-order scans and the LSM merge rely on).
     pub fn rank_cmp(&self, other: &Ranked) -> Ordering {
         order::desc_f32(self.score, other.score).then(self.index.cmp(&other.index))
     }
@@ -100,10 +101,11 @@ impl TopK {
 
     /// Offers one candidate; it is kept iff it ranks among the best `cap`
     /// seen so far.
-    // Called once per scored candidate by every blocked scan. Left to the
-    // optimiser, whether it is inlined shifts with unrelated code in the
-    // crate; out of line it cost `ExEa::new`'s candidate build ~8%.
-    #[inline]
+    // Called once per scored candidate by every blocked scan. A plain
+    // `#[inline]` leaves the call to the optimiser's heuristics, which
+    // shift with unrelated code in the crate; out of line it cost
+    // `ExEa::new`'s candidate build 8–20%.
+    #[inline(always)]
     pub fn push(&mut self, score: f32, index: u32) {
         if self.cap == 0 {
             return;

@@ -25,9 +25,9 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Candidate-generation strategy used by training-time nearest-neighbour
     /// sweeps (currently Dual-AMN's mutual-anchor mining): the exact blocked
-    /// scan, the IVF approximate pre-filter (optionally IVF-SQ), the SQ8
-    /// quantized scan, or the sharded scatter-gather engine for corpora
-    /// where the exact O(n_s·n_t) sweep is the bottleneck.
+    /// scan, or — for corpora where the exact O(n_s·n_t) sweep is the
+    /// bottleneck — the IVF approximate pre-filter (optionally IVF-SQ) or
+    /// the SQ8 quantized scan.
     pub candidate_search: CandidateSearch,
 }
 

@@ -257,9 +257,9 @@ fn mutual_anchor_candidates(
     // dense n_s × n_t matrix, no quadratic rescan. Ties resolve to the
     // earliest row/column, like the dense scans did. The configured
     // `CandidateSearch` decides whether the lists come from the exact scan,
-    // the IVF pre-filter or the sharded scatter-gather engine (approximate
-    // mining trades a few anchors for a sub-quadratic sweep; at
-    // `nprobe = nlist` / full routing it is bit-identical).
+    // the IVF pre-filter or the SQ8 scan (approximate mining trades a few
+    // anchors for a cheaper sweep; at `nprobe = nlist` /
+    // `rerank_factor = usize::MAX` it is bit-identical).
     let index = search.bidirectional_index(source_out, &sources, target_out, &targets, 1);
     let mut pseudo = Vec::new();
     for (i, &s) in sources.iter().enumerate() {

@@ -119,8 +119,8 @@ impl TrainedAlignment {
     /// Top-`k` candidate lists between the pair's test source entities and
     /// all target entities, produced by the given candidate-generation
     /// strategy ([`CandidateSearch`]) — the exact blocked scan, the IVF
-    /// approximate pre-filter (optionally IVF-SQ), the SQ8 quantized scan,
-    /// or the sharded or LSM segment engines. Approximate strategies may
+    /// approximate pre-filter (optionally IVF-SQ) or the SQ8 quantized
+    /// scan. Approximate strategies may
     /// miss candidates but every returned score is the bit-exact f32 dot of
     /// the exact kernel.
     pub fn candidate_index_with(

@@ -8,7 +8,7 @@
 //! | tier | engine | quality |
 //! |------|--------|---------|
 //! | [`Tier::Full`] | [`MutableIndex`] LSM gather-merge, exhaustive segments | bit-identical to the exact scan over the *live* corpus |
-//! | [`Tier::Partial`] | [`ShardedIndex`], partial routing | subset-only, lower fan-out |
+//! | [`Tier::Partial`] | [`IvfIndex`], `nlist = nshards`, probing `partial_route` lists | subset-only, scores only the probed lists |
 //! | [`Tier::Sq8`] | [`QuantizedTable`] ADC scan + exact re-rank | subset-only, cheapest |
 //!
 //! Request handlers mostly *read*: the engine is `Sync` and shared across
@@ -40,15 +40,14 @@ use crate::protocol::{Candidate, Tier};
 use crate::ServeError;
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::{
-    EmbeddingTable, IvfParams, LsmParams, MutableIndex, QuantizedTable, ShardParams, ShardedIndex,
-    Sq8Params,
+    EmbeddingTable, IvfIndex, IvfParams, LsmParams, MutableIndex, QuantizedTable, Sq8Params,
 };
 use ea_graph::{AlignmentPair, EntityId, KgPair, KgSide};
 use ea_models::{build_model, ModelKind, TrainConfig, TrainedAlignment};
 use exea_core::{ExEa, ExeaConfig, PairScore, RepairConfig, RepairOutcome, ScoredExplanation};
 use std::sync::{PoisonError, RwLock};
 
-/// What to load and how to shard it.
+/// What to load and how to index it.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Dataset to serve.
@@ -59,9 +58,10 @@ pub struct EngineConfig {
     pub model: ModelKind,
     /// Candidate depth cap per predict request.
     pub max_k: usize,
-    /// Shard count for the tiered candidate engines (`0` = automatic).
+    /// IVF list count of the [`Tier::Partial`] engine (`0` = `⌈√n⌉` for
+    /// `n` targets).
     pub nshards: usize,
-    /// Shards routed at [`Tier::Partial`] (`0` = half of them, at least 1).
+    /// Lists probed at [`Tier::Partial`] (`0` = half of them, at least 1).
     pub partial_route: usize,
     /// Sealed-segment count at which an insert triggers a synchronous
     /// compaction of the live LSM corpus (`0` = default of 8). Compaction
@@ -143,7 +143,7 @@ pub struct Engine {
     target_norm: EmbeddingTable,
     live: RwLock<MutableIndex>,
     compact_segments: usize,
-    sharded: ShardedIndex,
+    partial: IvfIndex,
     partial_route: usize,
     quant: QuantizedTable,
     sq8: Sq8Params,
@@ -186,23 +186,23 @@ impl Engine {
         let source_norm = source_table.gather_normalized(&all_sources);
         let target_norm = target_table.gather_normalized(&all_targets);
 
-        // Partial tier: the sharded engine, searched only through the
-        // explicit `partial_route` below. Exhaustive per-shard IVF makes
-        // every routed shard answer exactly, so Partial misses only what the
-        // unrouted shards hold (subset-only). The Full tier is the live LSM
-        // corpus built further down.
-        let shard_params = ShardParams {
-            nshards: config.nshards,
-            route_shards: usize::MAX,
-            ivf: IvfParams::exhaustive(),
-            ..ShardParams::default()
-        };
-        let sharded = ShardedIndex::build(&target_norm, &shard_params);
-        let nshards = sharded.nshards().max(1);
+        // Partial tier: one flat IVF over the target rows, probing
+        // `partial_route` of its `nshards` lists. Every probed list is
+        // scored exactly, so Partial misses only what the unprobed lists
+        // hold (subset-only). The Full tier is the live LSM corpus built
+        // further down.
+        let partial = IvfIndex::build(
+            &target_norm,
+            &IvfParams {
+                nlist: config.nshards,
+                ..IvfParams::default()
+            },
+        );
+        let nlist = partial.nlist().max(1);
         let partial_route = if config.partial_route == 0 {
-            (nshards / 2).max(1)
+            (nlist / 2).max(1)
         } else {
-            config.partial_route.clamp(1, nshards)
+            config.partial_route.clamp(1, nlist)
         };
         let quant = QuantizedTable::build(&target_norm);
 
@@ -237,7 +237,7 @@ impl Engine {
             target_norm,
             live: RwLock::new(live),
             compact_segments,
-            sharded,
+            partial,
             partial_route,
             quant,
             sq8: Sq8Params::default(),
@@ -294,22 +294,17 @@ impl Engine {
                     .map(|r| (r.index, r.score))
                     .collect()
             }
-            Tier::Partial => {
-                let mut results = self.sharded.search_routed(&query, k, self.partial_route);
-                if results.is_empty() {
-                    Vec::new()
-                } else {
-                    results.swap_remove(0)
-                }
-            }
-            Tier::Sq8 => {
-                let mut results = self.quant.search(&query, &self.target_norm, k, &self.sq8);
-                if results.is_empty() {
-                    Vec::new()
-                } else {
-                    results.swap_remove(0)
-                }
-            }
+            // One query row in, one list out.
+            Tier::Partial => self
+                .partial
+                .search(&query, &self.target_norm, k, self.partial_route)
+                .pop()
+                .unwrap_or_default(),
+            Tier::Sq8 => self
+                .quant
+                .search(&query, &self.target_norm, k, &self.sq8)
+                .pop()
+                .unwrap_or_default(),
         };
         row.into_iter()
             .map(|(target, score)| Candidate { target, score })

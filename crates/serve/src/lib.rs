@@ -18,7 +18,7 @@
 //!   daemon answers [`protocol::Response::Overloaded`] with a retry hint
 //!   instead of buffering without bound.
 //! - **Graceful degradation** — under load, predict requests step down a
-//!   configured ladder (sharded full routing → partial routing → SQ8
+//!   configured ladder (exact live LSM scan → partial IVF probing → SQ8
 //!   quantized scan), and every response is tagged with the tier that
 //!   served it.
 //! - **Panic isolation** — a panicking request becomes a typed

@@ -52,9 +52,11 @@ pub const MAX_INSERT_DIM: usize = 4096;
 /// what quality they got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Sharded engine, every shard routed: bit-identical to the exact scan.
+    /// The live LSM corpus with exhaustive segments: bit-identical to the
+    /// exact scan over the live rows.
     Full,
-    /// Sharded engine, partial routing: subset-only recall, lower fan-out.
+    /// One IVF over the startup target rows, probing a subset of its
+    /// lists: subset-only recall, fewer rows scored.
     Partial,
     /// SQ8 quantized scan + exact re-rank: cheapest, subset-only.
     Sq8,

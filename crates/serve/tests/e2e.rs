@@ -136,6 +136,57 @@ fn predict_is_bit_identical_to_the_engine_and_tier_tagged() {
     handle.shutdown();
 }
 
+/// The Partial tier's contract, checked for every source: a full,
+/// canonically ordered list whose entries carry Full's exact score bits
+/// and never outscore Full at the same rank (subset-only), with recall@10
+/// against Full of at least 0.85 over the whole fixture.
+#[test]
+fn partial_tier_is_subset_only_with_exact_scores_and_high_recall() {
+    const K: usize = 10;
+    let engine = engine();
+    let targets = engine.live_rows();
+    let mut hits = 0usize;
+    let mut wanted = 0usize;
+    for source in 0..engine.num_sources() as u32 {
+        let partial = engine.predict(source, K, Tier::Partial);
+        let full = engine.predict(source, K, Tier::Full);
+        let deep = engine.predict(source, engine.max_k(), Tier::Full);
+        assert_eq!(partial.len(), K.min(targets), "source {source}");
+        for pair in partial.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                a.score > b.score || (a.score == b.score && a.target < b.target),
+                "source {source}: {a:?} must rank before {b:?}"
+            );
+        }
+        for (rank, got) in partial.iter().enumerate() {
+            assert!(
+                got.score <= full[rank].score,
+                "source {source} rank {rank}: {got:?} outscores Full's {:?}",
+                full[rank]
+            );
+            if let Some(exact) = deep.iter().find(|c| c.target == got.target) {
+                assert_eq!(
+                    got.score.to_bits(),
+                    exact.score.to_bits(),
+                    "source {source}: target {} rescored",
+                    got.target
+                );
+            }
+        }
+        hits += partial
+            .iter()
+            .filter(|p| full.iter().any(|f| f.target == p.target))
+            .count();
+        wanted += full.len();
+    }
+    let recall = hits as f64 / wanted as f64;
+    assert!(
+        recall >= 0.85,
+        "Partial recall@{K} against Full: {recall:.3}"
+    );
+}
+
 #[test]
 fn explain_and_verify_are_bit_identical_to_the_pipeline() {
     let (handle, endpoint) = start(ServerConfig::default());

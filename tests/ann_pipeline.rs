@@ -3,11 +3,10 @@
 //! pipeline — prediction, repair (cr2/cr3), top-candidate verification —
 //! must make exactly the decisions the exact scan makes; with partial
 //! probing it must still produce a valid one-to-one repaired alignment.
-//! The same holds for every exhaustive engine layer (single, sharded, LSM)
-//! over every list storage.
+//! The same holds for exhaustive IVF over every list storage.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
-use ea_embed::{CandidateSearch, IvfListStorage, IvfParams, LsmParams, ShardParams, Sq8Params};
+use ea_embed::{CandidateSearch, IvfListStorage, IvfParams, Sq8Params};
 use ea_models::{build_model, ModelKind, TrainConfig};
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
 
@@ -82,28 +81,16 @@ fn every_exhaustive_engine_layer_reproduces_exact_repair_and_verification() {
         IvfListStorage::Flat,
         IvfListStorage::Sq8(Sq8Params::exhaustive()),
     ] {
-        let ivf = IvfParams {
+        let search = CandidateSearch::Ivf(IvfParams {
             storage,
             ..IvfParams::exhaustive()
-        };
-        let layers = [
-            CandidateSearch::Ivf(ivf.clone()),
-            CandidateSearch::Sharded(ShardParams {
-                nshards: 3,
-                ivf: ivf.clone(),
-                ..ShardParams::exhaustive()
-            }),
-            // A seal budget far below the corpus forces many segments.
-            CandidateSearch::Lsm(LsmParams { seal_rows: 64, ivf }),
-        ];
-        for search in layers {
-            let name = search.name();
-            let (predictions, repaired, stats, verdicts) = run(search);
-            assert!(predictions == exact.0, "{name}: predictions diverged");
-            assert!(repaired == exact.1, "{name}: repaired set diverged");
-            assert_eq!(stats, exact.2, "{name}: repair stats diverged");
-            assert!(verdicts == exact.3, "{name}: verification diverged");
-        }
+        });
+        let name = search.name();
+        let (predictions, repaired, stats, verdicts) = run(search);
+        assert!(predictions == exact.0, "{name}: predictions diverged");
+        assert!(repaired == exact.1, "{name}: repaired set diverged");
+        assert_eq!(stats, exact.2, "{name}: repair stats diverged");
+        assert!(verdicts == exact.3, "{name}: verification diverged");
     }
 }
 
