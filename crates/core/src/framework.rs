@@ -283,6 +283,17 @@ impl<'a> ExEa<'a> {
         }
     }
 
+    /// The distinct endpoints of `e1`'s cached source paths, ascending. A
+    /// score of `(e1, _)` reads the alignment state only through
+    /// `target_of` of these entities, and every neighbour of `e1` is one of
+    /// them (each is the endpoint of a one-hop path), so they are all the
+    /// state repair's score memo must watch for `e1`.
+    pub(crate) fn path_endpoints(&self, e1: EntityId) -> impl Iterator<Item = EntityId> + '_ {
+        self.source_paths[e1.index()]
+            .chunk_by(|a, b| a.end() == b.end())
+            .map(|run| run[0].end())
+    }
+
     /// Explanation confidence of a pair under a given alignment state.
     ///
     /// Computed from the matching core without building the explanation or

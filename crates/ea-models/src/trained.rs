@@ -1,6 +1,6 @@
 //! The artifact produced by training: embeddings plus inference helpers.
 
-use ea_embed::{CandidateIndex, CandidateSearch, EmbeddingTable, SimilarityMatrix};
+use ea_embed::{vector, CandidateIndex, CandidateSearch, EmbeddingTable, SimilarityMatrix};
 use ea_graph::{AlignmentSet, EntityId, KgPair, KgSide, RelationId};
 
 /// The output of training an EA model on a [`KgPair`]: entity embeddings for
@@ -12,6 +12,10 @@ pub struct TrainedAlignment {
     model_name: String,
     source_entities: EmbeddingTable,
     target_entities: EmbeddingTable,
+    /// `vector::norm` of every entity row, derived once at construction so
+    /// each similarity costs one dot instead of three.
+    source_norms: Vec<f32>,
+    target_norms: Vec<f32>,
     source_relations: Option<EmbeddingTable>,
     target_relations: Option<EmbeddingTable>,
 }
@@ -27,8 +31,15 @@ impl TrainedAlignment {
         source_relations: Option<EmbeddingTable>,
         target_relations: Option<EmbeddingTable>,
     ) -> Self {
+        let norms = |table: &EmbeddingTable| -> Vec<f32> {
+            (0..table.rows())
+                .map(|r| vector::norm(table.row(r)))
+                .collect()
+        };
         Self {
             model_name: model_name.into(),
+            source_norms: norms(&source_entities),
+            target_norms: norms(&target_entities),
             source_entities,
             target_entities,
             source_relations,
@@ -77,17 +88,29 @@ impl TrainedAlignment {
         self.relations(side).map(|t| t.row(relation.index()))
     }
 
-    /// Cosine similarity between a source entity and a target entity.
+    /// Cosine similarity between a source entity and a target entity:
+    /// bit-identical to [`vector::cosine`] of the two rows, from the cached
+    /// row norms.
     pub fn entity_similarity(&self, source: EntityId, target: EntityId) -> f32 {
-        self.source_entities
-            .cosine_between(source.index(), &self.target_entities, target.index())
+        let (s, t) = (source.index(), target.index());
+        vector::cosine_with_norms(
+            self.source_entities.row(s),
+            self.target_entities.row(t),
+            self.source_norms[s],
+            self.target_norms[t],
+        )
     }
 
     /// Cosine similarity between two entities on the *same* side (used when
-    /// comparing competing source entities).
+    /// comparing competing source entities), from the cached row norms like
+    /// [`TrainedAlignment::entity_similarity`].
     pub fn same_side_similarity(&self, side: KgSide, a: EntityId, b: EntityId) -> f32 {
-        let table = self.entities(side);
-        table.cosine_between(a.index(), table, b.index())
+        let (table, norms) = match side {
+            KgSide::Source => (&self.source_entities, &self.source_norms),
+            KgSide::Target => (&self.target_entities, &self.target_norms),
+        };
+        let (a, b) = (a.index(), b.index());
+        vector::cosine_with_norms(table.row(a), table.row(b), norms[a], norms[b])
     }
 
     /// The similarity matrix between the pair's test source entities and all
@@ -274,6 +297,45 @@ mod tests {
             trained.same_side_similarity(KgSide::Source, a1, a1)
                 > trained.same_side_similarity(KgSide::Source, a1, b1)
         );
+    }
+
+    #[test]
+    fn cached_norm_similarities_equal_plain_cosine() {
+        let pair = tiny_pair();
+        let trained =
+            crate::build_model(crate::ModelKind::GcnAlign, crate::TrainConfig::fast()).train(&pair);
+        // Zero one row per side: cosine's zero-norm branch must match too.
+        let mut source = trained.entities(KgSide::Source).clone();
+        let mut target = trained.entities(KgSide::Target).clone();
+        source.row_mut(0).fill(0.0);
+        target.row_mut(target.rows() - 1).fill(0.0);
+        let trained = TrainedAlignment::new("zeroed", source, target, None, None);
+        let (s, t) = (
+            trained.entities(KgSide::Source),
+            trained.entities(KgSide::Target),
+        );
+        let bits = |x: f32| x.to_bits();
+        for a in pair.source.entity_ids() {
+            for b in pair.target.entity_ids() {
+                let want = vector::cosine(s.row(a.index()), t.row(b.index()));
+                assert_eq!(bits(trained.entity_similarity(a, b)), bits(want));
+            }
+        }
+        for (side, table, ids) in [
+            (
+                KgSide::Source,
+                s,
+                pair.source.entity_ids().collect::<Vec<_>>(),
+            ),
+            (KgSide::Target, t, pair.target.entity_ids().collect()),
+        ] {
+            for &a in &ids {
+                for &b in &ids {
+                    let want = vector::cosine(table.row(a.index()), table.row(b.index()));
+                    assert_eq!(bits(trained.same_side_similarity(side, a, b)), bits(want));
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use ea_data::noise::with_noisy_seed;
 use ea_embed::CandidateSearch;
 use ea_graph::{AlignmentPair, KgPair};
 use ea_models::{build_model, ModelKind, TrainConfig};
-use exea_core::repair::RepairStats;
+use exea_core::repair::{RepairStats, RepairWork};
 use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
 
 /// FNV-1a (64-bit) over a stream of little-endian words.
@@ -279,4 +279,45 @@ fn mtranse_zh_en_second_order_repair_and_verification_are_pinned() {
         got, want,
         "MTransE on ZhEn with second-order explanations: got {got:#018x?}"
     );
+}
+
+/// Repair work on bench-scale DBP-WD with GCN-Align trained under the
+/// default `TrainConfig`, the repair-bound benchmark workload. The repaired
+/// set and stats are pinned beside the counts, so fewer scores cannot come
+/// from fewer decisions. Scoring every claim afresh computes 56,580
+/// confidences here; reusing still-exact scores leaves 36,780 to compute.
+#[test]
+fn gcn_align_dbp_wd_bench_repair_work_is_pinned() {
+    let pair = load(DatasetName::DbpWd, DatasetScale::Bench);
+    let train = TrainConfig {
+        candidate_search: CandidateSearch::Exact,
+        ..TrainConfig::default()
+    };
+    let trained = build_model(ModelKind::GcnAlign, train).train(&pair);
+    let config = ExeaConfig {
+        candidate_search: CandidateSearch::Exact,
+        ..ExeaConfig::default()
+    };
+    let outcome = ExEa::new(&pair, &trained, config).repair(&RepairConfig::default());
+    let repaired = outcome.repaired.to_vec();
+    let got = (
+        pairs_digest(repaired.iter().map(|p| (p, None))),
+        stats_digest(&outcome.stats),
+    );
+    assert_eq!(
+        got,
+        (0x9181_6c87_8d53_84a2, 0x2136_e8b2_8b24_8380),
+        "got {got:#018x?}"
+    );
+    assert_eq!(
+        outcome.work,
+        RepairWork {
+            cr2_scores: 258,
+            cr3_detect_scores: 2447,
+            cr3_realign_scores: 31_335,
+            claim_scores: 2740,
+            memo_reuses: 19_800,
+        }
+    );
+    assert_eq!(outcome.work.scored() + outcome.work.memo_reuses, 56_580);
 }
