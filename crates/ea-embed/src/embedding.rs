@@ -150,11 +150,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// Cosine similarity between two rows of (possibly different) tables.
-    pub fn cosine_between(&self, i: usize, other: &EmbeddingTable, j: usize) -> f32 {
-        vector::cosine(self.row(i), other.row(j))
-    }
-
     /// Mean of a set of rows; a zero vector if the set is empty.
     pub fn mean_of_rows(&self, rows: &[usize]) -> Vec<f32> {
         vector::mean(rows.iter().map(|&r| self.row(r)), self.dim)
@@ -230,15 +225,6 @@ mod tests {
         b.row_mut(1).copy_from_slice(&[7.0, 8.0]);
         a.copy_row_from(0, &b, 1);
         assert_eq!(a.row(0), &[7.0, 8.0]);
-    }
-
-    #[test]
-    fn cosine_between_tables() {
-        let mut a = EmbeddingTable::zeros(1, 2);
-        let mut b = EmbeddingTable::zeros(1, 2);
-        a.row_mut(0).copy_from_slice(&[1.0, 0.0]);
-        b.row_mut(0).copy_from_slice(&[1.0, 0.0]);
-        assert!((a.cosine_between(0, &b, 0) - 1.0).abs() < 1e-6);
     }
 
     #[test]
