@@ -616,6 +616,7 @@ mod tests {
     use super::*;
     use crate::config::ExeaConfig;
     use ea_data::datasets::{load, DatasetName, DatasetScale};
+    use ea_embed::CandidateSearch;
     use ea_graph::KgSide;
     use ea_models::{build_model, ModelKind, TrainConfig, TrainedAlignment};
 
@@ -719,8 +720,19 @@ mod tests {
     /// walk); what the memo scores plus what it reuses adds up to that.
     #[test]
     fn repair_work_is_pinned() {
-        let (pair, trained) = setup(ModelKind::MTransE);
-        let exea = ExEa::new(&pair, &trained, ExeaConfig::default());
+        // The exact engine is pinned in both configs, so the
+        // `EXEA_CANDIDATE_SEARCH` override cannot move the counts.
+        let pair = load(DatasetName::ZhEn, DatasetScale::Small);
+        let train = TrainConfig {
+            candidate_search: CandidateSearch::Exact,
+            ..TrainConfig::fast()
+        };
+        let trained = build_model(ModelKind::MTransE, train).train(&pair);
+        let config = ExeaConfig {
+            candidate_search: CandidateSearch::Exact,
+            ..ExeaConfig::default()
+        };
+        let exea = ExEa::new(&pair, &trained, config);
         let work = exea.repair(&RepairConfig::default()).work;
         assert_eq!(
             work,
