@@ -4,7 +4,8 @@
 //! loop that used to be quadratic), the IVF ANN pre-filter vs the exact scan
 //! at n >= 2000 targets, the register-blocked and packed-group kernels vs
 //! the retired one-accumulator scalar dot, the hard-negative cache build
-//! (the blocked self-join behind Dual-AMN and AlignE training), and the SQ8
+//! (the blocked self-join behind Dual-AMN and AlignE training), Dual-AMN's
+//! fused mutual top-1 pass vs a `k = 1` bidirectional index, and the SQ8
 //! quantized scan vs the exact f32 sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -256,6 +257,25 @@ fn bench_hard_negatives(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dual-AMN's mutual-anchor search at bench scale (1600 unanchored entities
+/// a side, 64 wide): the fused exact top-1 pass, which scores each pair
+/// once, vs the two directed passes of a `k = 1` bidirectional index.
+fn bench_mutual_top1(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(31);
+    let s = EmbeddingTable::xavier(1600, 64, &mut rng);
+    let t = EmbeddingTable::xavier(1600, 64, &mut rng);
+    let ids: Vec<EntityId> = (0..1600u32).map(EntityId).collect();
+    let mut group = c.benchmark_group("mutual_top1_1600x1600_d64");
+    group.sample_size(10);
+    group.bench_function("fused", |b| {
+        b.iter(|| black_box(CandidateSearch::Exact.mutual_top1(&s, &ids, &t, &ids)))
+    });
+    group.bench_function("bidirectional_index_k1", |b| {
+        b.iter(|| black_box(CandidateSearch::Exact.bidirectional_index(&s, &ids, &t, &ids, 1)))
+    });
+    group.finish();
+}
+
 /// SQ8 quantized scan vs the exact f32 sweep: the raw integer ADC byte scan
 /// (4x less memory traffic per candidate), the end-to-end candidate engines
 /// at equal k (two corpus sizes — the byte panel's edge grows as the f32
@@ -311,6 +331,7 @@ criterion_group!(
     bench_ann_prefilter,
     bench_kernel,
     bench_hard_negatives,
+    bench_mutual_top1,
     bench_sq8
 );
 criterion_main!(benches);

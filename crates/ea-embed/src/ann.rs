@@ -43,7 +43,7 @@
 //! configs to switch exact ↔ ANN.
 
 use crate::candidates::{
-    blocked_topk, clamped, CandidateIndex, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
+    blocked_topk, clamped, CandidateIndex, MutualTop1, DEFAULT_COL_TILE, DEFAULT_ROW_TILE,
 };
 use crate::embedding::EmbeddingTable;
 use crate::kernel;
@@ -798,6 +798,34 @@ impl CandidateSearch {
             true,
             |queries, corpus, cap| self.directed_pass(queries, corpus, cap),
         )
+    }
+
+    /// Each source entity's best target and each target entity's best
+    /// source ([`MutualTop1`]), the input of mutual-nearest-neighbour
+    /// mining. `Exact` scores every pair once in one fused blocked pass
+    /// ([`MutualTop1::compute`]); the approximate engines read the heads of
+    /// [`CandidateSearch::bidirectional_index`] with `k = 1`, whose results
+    /// equal the exact ones at `nprobe = nlist` /
+    /// `rerank_factor = usize::MAX`.
+    pub fn mutual_top1(
+        &self,
+        source_table: &EmbeddingTable,
+        source_ids: &[EntityId],
+        target_table: &EmbeddingTable,
+        target_ids: &[EntityId],
+    ) -> MutualTop1 {
+        match self {
+            CandidateSearch::Exact => {
+                MutualTop1::compute(source_table, source_ids, target_table, target_ids)
+            }
+            _ => MutualTop1::from_index(&self.bidirectional_index(
+                source_table,
+                source_ids,
+                target_table,
+                target_ids,
+                1,
+            )),
+        }
     }
 }
 

@@ -9,17 +9,30 @@
 //! (binary-heap selection), so peak candidate storage — including every
 //! transient block buffer — is O(n·k), beside the O(n·d) normalised rows and
 //! the one packed copy of the corpus the scan reads. Consumers that need the
-//! per-target *reverse* neighbourhoods (CSLS, mutual-nearest-neighbour
-//! mining) opt in with [`CandidateIndex::compute_bidirectional`], which runs
-//! a second, transposed blocked pass: still O(n·k) peak memory, at twice the
-//! dot-product work. `dot(a, b)` and `dot(b, a)` multiply and accumulate the
-//! same values in the same lane order, so the transposed pass is
-//! bit-identical to reading the forward scores.
+//! per-target *reverse* neighbourhoods (CSLS) opt in with
+//! [`CandidateIndex::compute_bidirectional`], which runs a second, transposed
+//! blocked pass: still O(n·k) peak memory, at twice the dot-product work.
+//! `dot(a, b)` and `dot(b, a)` multiply and accumulate the same values in the
+//! same lane order, so the transposed pass is bit-identical to reading the
+//! forward scores.
+//!
+//! **Mutual top-1.** Mutual-nearest-neighbour mining needs only each side's
+//! single best, so it does not build a bidirectional index: [`MutualTop1`]
+//! runs one blocked pass in which every clamped dot updates the query row's
+//! running best column and the column's running best row, both under the
+//! canonical order. Each dot is computed once (the symmetry above), and
+//! per-block column bests are folded in block order
+//! (`crates/ea-embed/tests/prop_mutual.rs` pins it against the dense row and
+//! column argmaxes).
 //!
 //! **Scan.** The corpus is packed once per pass into element-major groups of
 //! [`kernel::GROUP`] rows ([`kernel::pack_panel`]); every query row of a
 //! block streams column tiles of that packed copy through
-//! [`kernel::scan_packed`], and tiles need not be group-aligned.
+//! [`kernel::scan_packed`], and tiles need not be group-aligned. The top-k
+//! passes take their score as a map over one tile of raw dots, applied in
+//! place before the tile's candidates are pushed: `clamped` for the
+//! pre-normalised engines, the norm-divided cosine for the hard-negative
+//! cache. A whole-tile loop with no per-dot call vectorises.
 //!
 //! **Determinism contract.** Embedding rows are normalised once
 //! ([`EmbeddingTable::gather_normalized`]) and every similarity is the same
@@ -49,6 +62,7 @@ use crate::kernel;
 use crate::topk::{Ranked, TopK};
 use ea_graph::{AlignmentPair, AlignmentSet, EntityId};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -58,34 +72,29 @@ pub(crate) const DEFAULT_ROW_TILE: usize = 128;
 /// target rows stay hot while every source row of the block scans them.
 pub(crate) const DEFAULT_COL_TILE: usize = 256;
 
-/// Scans one block of query rows against the whole corpus in column tiles,
-/// keeping the per-row top-`cap` candidates under the canonical
-/// `(score desc, column asc)` order. `packed` is the corpus's
-/// [`kernel::pack_panel`]. `score(row, col, dot)` turns the kernel's raw dot
-/// product of query `row` and corpus `col` into the ranked score. Pure
-/// function of its inputs: block results are identical however blocks are
-/// scheduled. Output is the flattened best-first lists, exactly
-/// `cap.min(corpus.rows())` entries per block row.
-fn process_block(
+/// Streams one block of query rows against the whole corpus, one column
+/// tile at a time (`packed` is the corpus's [`kernel::pack_panel`]). Tiles
+/// are the outer loop, so a tile's packed groups stay cache-hot while every
+/// block row scans them. For each tile and row it calls
+/// `visit(slot, row, tile_start, dots)` with the raw kernel dots of query
+/// `row` (block position `slot`) against corpus rows
+/// `tile_start..tile_start + dots.len()`. Each dot is bit-identical to the
+/// per-pair `kernel::dot` of the same rows.
+fn scan_tiles(
     queries: &EmbeddingTable,
     corpus: &EmbeddingTable,
     packed: &[f32],
     rows: Range<usize>,
-    cap: usize,
     col_tile: usize,
-    score: &impl Fn(usize, usize, f32) -> f32,
-) -> Vec<Ranked> {
+    mut visit: impl FnMut(usize, usize, usize, &mut [f32]),
+) {
     let n_c = corpus.rows();
     let dim = corpus.dim();
-    let mut select: Vec<TopK> = rows.clone().map(|_| TopK::new(cap)).collect();
     let mut dots = vec![0.0f32; col_tile.min(n_c)];
     let mut tile_start = 0;
     while tile_start < n_c {
         let tile_end = (tile_start + col_tile).min(n_c);
-        let tile_len = tile_end - tile_start;
-        // The tile's packed groups stay cache-hot while every block row
-        // scans them. Each dot is bit-identical to the per-pair
-        // `kernel::dot` of the same rows.
+        let tile = &mut dots[..tile_end - tile_start];
         for (slot, i) in rows.clone().enumerate() {
             kernel::scan_packed(
                 queries.row(i),
@@ -93,16 +102,47 @@ fn process_block(
                 packed,
                 dim,
                 tile_start..tile_end,
-                &mut dots[..tile_len],
+                tile,
             );
-            for (off, &dot) in dots[..tile_len].iter().enumerate() {
-                let col = tile_start + off;
-                select[slot].push(score(i, col, dot), col as u32);
-            }
+            visit(slot, i, tile_start, tile);
         }
         tile_start = tile_end;
     }
-    let mut out = Vec::with_capacity(select.len() * cap.min(n_c));
+}
+
+/// Scans one block of query rows against the whole corpus
+/// ([`scan_tiles`]), keeping the per-row top-`cap` candidates under the
+/// canonical `(score desc, column asc)` order. `score(row, tile_start,
+/// dots)` maps one tile of query `row`'s raw kernel dots (corpus rows
+/// `tile_start..tile_start + dots.len()`) to ranked scores in place; the
+/// push loop then reads finished scores. Pure function of its inputs: block
+/// results are identical however blocks are scheduled. Output is the
+/// flattened best-first lists, exactly `cap.min(corpus.rows())` entries per
+/// block row.
+fn process_block(
+    queries: &EmbeddingTable,
+    corpus: &EmbeddingTable,
+    packed: &[f32],
+    rows: Range<usize>,
+    cap: usize,
+    col_tile: usize,
+    score: &impl Fn(usize, usize, &mut [f32]),
+) -> Vec<Ranked> {
+    let mut select: Vec<TopK> = rows.clone().map(|_| TopK::new(cap)).collect();
+    scan_tiles(
+        queries,
+        corpus,
+        packed,
+        rows,
+        col_tile,
+        |slot, i, tile_start, dots| {
+            score(i, tile_start, dots);
+            for (off, &s) in dots.iter().enumerate() {
+                select[slot].push(s, (tile_start + off) as u32);
+            }
+        },
+    );
+    let mut out = Vec::with_capacity(select.len() * cap.min(corpus.rows()));
     for s in select {
         out.extend(s.into_sorted());
     }
@@ -111,7 +151,7 @@ fn process_block(
 
 /// Fans query-row blocks over the rayon pool and concatenates the block
 /// results in input order: the flattened top-`cap` lists of every query row
-/// against the corpus, ranked by `score(row, col, dot)` (see
+/// against the corpus, ranked by the tile score map `score` (see
 /// [`process_block`]). The corpus is packed once per call
 /// ([`kernel::pack_panel`]) and shared by every block. Peak transient memory
 /// is that one packed copy of the corpus plus the block outputs —
@@ -122,7 +162,7 @@ pub(crate) fn blocked_topk(
     cap: usize,
     row_tile: usize,
     col_tile: usize,
-    score: impl Fn(usize, usize, f32) -> f32 + Sync,
+    score: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) -> Vec<Ranked> {
     let n_q = queries.rows();
     let packed = kernel::pack_panel(corpus.data(), corpus.dim());
@@ -144,11 +184,209 @@ pub(crate) fn blocked_topk(
     blocks.concat()
 }
 
-/// The score map of the pre-normalised engines: the dot of two unit (or
+/// The score map of the pre-normalised engines: each dot of two unit (or
 /// all-zero) rows clamped to `[-1, 1]` — bit-identical to
 /// [`crate::vector::cosine_prenormalized`] of the same pair.
-pub(crate) fn clamped(_row: usize, _col: usize, dot: f32) -> f32 {
-    dot.clamp(-1.0, 1.0)
+pub(crate) fn clamped(_row: usize, _tile_start: usize, dots: &mut [f32]) {
+    for d in dots {
+        *d = d.clamp(-1.0, 1.0);
+    }
+}
+
+/// The "no entry yet" running best of [`mutual_block`]: any scored entry,
+/// NaN included, outranks it under [`Ranked::rank_cmp`] (a NaN score ties
+/// and the index `u32::MAX` loses the tie-break).
+const UNSET: Ranked = Ranked {
+    score: f32::NAN,
+    index: u32::MAX,
+};
+
+/// Replaces `best` with `(score, index)` if that ranks strictly earlier
+/// under the canonical `(score desc, index asc)` order.
+#[inline(always)]
+fn keep_best(best: &mut Ranked, score: f32, index: u32) {
+    let entry = Ranked { score, index };
+    if entry.rank_cmp(best) == Ordering::Less {
+        *best = entry;
+    }
+}
+
+/// The fused top-1 scan of one block of query rows ([`scan_tiles`]): every
+/// clamped dot updates both the query row's running best column and the
+/// column's running best row of this block, each under the canonical
+/// `(score desc, index asc)` order. Returns the block rows' best columns and
+/// the per-column best rows over this block only (indexes are absolute).
+fn mutual_block(
+    queries: &EmbeddingTable,
+    corpus: &EmbeddingTable,
+    packed: &[f32],
+    rows: Range<usize>,
+    col_tile: usize,
+) -> (Vec<Ranked>, Vec<Ranked>) {
+    let mut row_best = vec![UNSET; rows.len()];
+    let mut col_best = vec![UNSET; corpus.rows()];
+    scan_tiles(
+        queries,
+        corpus,
+        packed,
+        rows,
+        col_tile,
+        |slot, i, tile_start, dots| {
+            let best = &mut row_best[slot];
+            let cols = &mut col_best[tile_start..tile_start + dots.len()];
+            for (off, (&dot, col)) in dots.iter().zip(cols).enumerate() {
+                let s = dot.clamp(-1.0, 1.0);
+                keep_best(best, s, (tile_start + off) as u32);
+                keep_best(col, s, i as u32);
+            }
+        },
+    );
+    (row_best, col_best)
+}
+
+/// Exact mutual top-1 of pre-normalised `queries` against `corpus` in one
+/// blocked pass: each query row's best corpus row and each corpus row's best
+/// query row, both under `(score desc, index asc)` on the clamped kernel
+/// dot. Each dot is computed once (`dot(a, b)` equals `dot(b, a)` bit for
+/// bit, so the column bests equal a transposed pass). Query blocks fan out
+/// over the rayon pool; their per-column bests are folded in block order,
+/// so the result does not depend on the worker count. Empty when either side
+/// is.
+fn fused_top1(
+    queries: &EmbeddingTable,
+    corpus: &EmbeddingTable,
+    row_tile: usize,
+    col_tile: usize,
+) -> (Vec<Ranked>, Vec<Ranked>) {
+    let (n_q, n_c) = (queries.rows(), corpus.rows());
+    if n_q == 0 || n_c == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let packed = kernel::pack_panel(corpus.data(), corpus.dim());
+    let block_starts: Vec<usize> = (0..n_q).step_by(row_tile).collect();
+    let blocks: Vec<(Vec<Ranked>, Vec<Ranked>)> = block_starts
+        .par_iter()
+        .map(|&start| {
+            mutual_block(
+                queries,
+                corpus,
+                &packed,
+                start..(start + row_tile).min(n_q),
+                col_tile,
+            )
+        })
+        .collect();
+    let mut row_best = Vec::with_capacity(n_q);
+    let mut col_best = vec![UNSET; n_c];
+    for (rows, cols) in blocks {
+        row_best.extend(rows);
+        for (best, entry) in col_best.iter_mut().zip(cols) {
+            keep_best(best, entry.score, entry.index);
+        }
+    }
+    (row_best, col_best)
+}
+
+/// Each source entity's single best target and each target entity's single
+/// best source — the mutual-nearest-neighbour view that anchor mining reads
+/// (a pair is mutual when each side is the other's best). Positions index
+/// the `source_ids` / `target_ids` the search was built from; scores are
+/// the clamped cosine of the normalised rows, bit-identical to the dense
+/// [`crate::SimilarityMatrix`] cell, and ties go to the lowest position.
+///
+/// Built by [`crate::CandidateSearch::mutual_top1`]: the exact engine
+/// ([`MutualTop1::compute`]) scores every pair once in one fused blocked
+/// pass; the approximate engines read the heads of a `k = 1`
+/// bidirectional index (two directed passes).
+#[derive(Debug, Clone)]
+pub struct MutualTop1 {
+    /// Per source position, its best target position and score.
+    source_best: Vec<Ranked>,
+    /// Per target position, its best source position and score.
+    target_best: Vec<Ranked>,
+    /// Source-target pairs the passes covered (see [`MutualTop1::dots`]).
+    dots: u64,
+}
+
+impl MutualTop1 {
+    /// The exact fused pass with the default tile sizes.
+    pub fn compute(
+        source_table: &EmbeddingTable,
+        source_ids: &[EntityId],
+        target_table: &EmbeddingTable,
+        target_ids: &[EntityId],
+    ) -> Self {
+        Self::compute_with_tiles(
+            source_table,
+            source_ids,
+            target_table,
+            target_ids,
+            DEFAULT_ROW_TILE,
+            DEFAULT_COL_TILE,
+        )
+    }
+
+    /// [`MutualTop1::compute`] with explicit tile sizes (tuning knob;
+    /// results are bit-identical for any tile sizes).
+    pub fn compute_with_tiles(
+        source_table: &EmbeddingTable,
+        source_ids: &[EntityId],
+        target_table: &EmbeddingTable,
+        target_ids: &[EntityId],
+        row_tile: usize,
+        col_tile: usize,
+    ) -> Self {
+        let source = normalized_side(source_table, source_ids);
+        let target = normalized_side(target_table, target_ids);
+        let (source_best, target_best) =
+            fused_top1(&source, &target, row_tile.max(1), col_tile.max(1));
+        Self {
+            source_best,
+            target_best,
+            dots: source_ids.len() as u64 * target_ids.len() as u64,
+        }
+    }
+
+    /// The heads of a bidirectional index's forward and reverse lists.
+    /// `dots` is what the index's two directed passes covered.
+    pub(crate) fn from_index(index: &CandidateIndex) -> Self {
+        let heads = |ids: &[u32], scores: &[f32], len: usize| -> Vec<Ranked> {
+            if len == 0 {
+                return Vec::new();
+            }
+            ids.iter()
+                .zip(scores)
+                .step_by(len)
+                .map(|(&index, &score)| Ranked { score, index })
+                .collect()
+        };
+        let (n_s, n_t) = (index.source_ids.len() as u64, index.target_ids.len() as u64);
+        Self {
+            source_best: heads(&index.cand_cols, &index.cand_scores, index.row_len),
+            target_best: heads(&index.rev_rows, &index.rev_scores, index.rev_len),
+            dots: 2 * n_s * n_t,
+        }
+    }
+
+    /// The best target position of source position `i` and its score;
+    /// `None` past the sources or when there are no targets.
+    pub fn best_target(&self, i: usize) -> Option<(usize, f32)> {
+        self.source_best.get(i).map(|r| (r.index as usize, r.score))
+    }
+
+    /// The best source position of target position `j` and its score;
+    /// `None` past the targets or when there are no sources.
+    pub fn best_source(&self, j: usize) -> Option<(usize, f32)> {
+        self.target_best.get(j).map(|r| (r.index as usize, r.score))
+    }
+
+    /// Source-target pairs the search scored: `n_s · n_t` for the exact
+    /// fused pass, which computes each dot once, and `2 · n_s · n_t` for
+    /// the approximate engines' two directed passes (an upper bound on the
+    /// exact dots their pre-filters let through).
+    pub fn dots(&self) -> u64 {
+        self.dots
+    }
 }
 
 /// The rows of `ids` gathered from `table` and L2-normalised once

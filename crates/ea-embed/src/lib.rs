@@ -85,7 +85,7 @@ pub mod topk;
 pub mod vector;
 
 pub use ann::{CandidateSearch, EnvOverrideError, IvfIndex, IvfListStorage, IvfParams};
-pub use candidates::CandidateIndex;
+pub use candidates::{CandidateIndex, MutualTop1};
 pub use embedding::EmbeddingTable;
 pub use lsm::{LsmParams, MutableIndex};
 pub use optimizer::{Adagrad, Optimizer, Sgd};

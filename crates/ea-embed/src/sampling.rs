@@ -18,9 +18,13 @@
 //! [`crate::CandidateIndex`] engine runs: row norms are computed once, the
 //! universe is packed once into element-major row groups
 //! ([`crate::kernel::pack_panel`]), every query block streams column tiles of
-//! that packed copy through [`crate::kernel::scan_packed`] into a bounded
+//! that packed copy through [`crate::kernel::scan_packed`], each tile of dots
+//! becomes cosines in one branch-free loop (the query's norm read once, a
+//! zero-norm side selected to 0), the cosines go into a bounded
 //! [`crate::topk::TopK`] per query, and fixed query blocks fan out over the
 //! rayon pool and are concatenated in input order.
+//! [`HardNegativeCache::listed_rows`] and [`HardNegativeCache::dots`] report
+//! the work of a build.
 //! [`HardNegativeCache::build`] is the same scan with every row queried.
 //! Each listed row is bit-identical to a naive per-row scan
 //! (`crates/ea-embed/tests/prop_hard_negatives.rs` pins this,
@@ -120,6 +124,8 @@ pub struct HardNegativeCache {
     row_len: usize,
     uniform_prob: f64,
     universe: usize,
+    /// Rows that got a list.
+    listed: usize,
 }
 
 /// The `slots` entry of a row without a list.
@@ -181,12 +187,16 @@ impl HardNegativeCache {
                 cap,
                 DEFAULT_ROW_TILE,
                 DEFAULT_COL_TILE,
-                |q, j, dot| {
-                    let (ni, nj) = (norms[listed[q]], norms[j]);
-                    if ni <= f32::EPSILON || nj <= f32::EPSILON {
-                        0.0
-                    } else {
-                        (dot / (ni * nj)).clamp(-1.0, 1.0)
+                |q, tile_start, dots| {
+                    // Branch-free over the tile so the loop vectorises; a
+                    // zero-norm side selects 0 (the quotient it replaces may
+                    // be inf or NaN).
+                    let ni = norms[listed[q]];
+                    let tile_norms = &norms[tile_start..tile_start + dots.len()];
+                    for (d, &nj) in dots.iter_mut().zip(tile_norms) {
+                        let cosine = (*d / (ni * nj)).clamp(-1.0, 1.0);
+                        let degenerate = ni <= f32::EPSILON || nj <= f32::EPSILON;
+                        *d = if degenerate { 0.0 } else { cosine };
                     }
                 },
             );
@@ -211,12 +221,25 @@ impl HardNegativeCache {
             row_len,
             uniform_prob: uniform_prob.clamp(0.0, 1.0),
             universe,
+            listed: listed.len(),
         }
     }
 
     /// Number of entities covered by the cache.
     pub fn universe(&self) -> usize {
         self.universe
+    }
+
+    /// Rows the cache built a list for (the distinct queried rows inside
+    /// the universe).
+    pub fn listed_rows(&self) -> usize {
+        self.listed
+    }
+
+    /// Similarity dots the build computed: every listed row against every
+    /// row of the universe.
+    pub fn dots(&self) -> u64 {
+        self.listed as u64 * self.universe as u64
     }
 
     /// The slot of `row`'s list, if it has one.
@@ -334,6 +357,16 @@ mod tests {
             x_cluster > y_cluster,
             "cache ignored similarity: {counts:?}"
         );
+    }
+
+    #[test]
+    fn cache_reports_rows_listed_and_dots() {
+        let table = clustered_table();
+        // Duplicates and rows past the universe are not listed.
+        let cache = HardNegativeCache::build_for(&table, &[4, 1, 4, 9], 2, 6, 0.0);
+        assert_eq!((cache.listed_rows(), cache.dots()), (2, 2 * 6));
+        let full = HardNegativeCache::build(&table, 2, 6, 0.0);
+        assert_eq!((full.listed_rows(), full.dots()), (6, 6 * 6));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    negative distance, sharpening decision boundaries.
 
 use crate::config::TrainConfig;
-use crate::trained::TrainedAlignment;
+use crate::trained::{TrainedAlignment, TrainingWork};
 use crate::training::{
     alignment_margin_epoch, alignment_pull_epoch, seed_targets, training_rng, transe_epoch,
     TranslationState,
@@ -64,14 +64,17 @@ impl EaModel for AlignE {
         let source_sampler = NegativeSampler::uniform(pair.source.num_entities());
         let target_sampler = NegativeSampler::uniform(pair.target.num_entities());
         let positives = seed_targets(&pair.seed);
-        let build_cache = |target_entities: &EmbeddingTable| {
-            HardNegativeCache::build_for(
+        let mut work = TrainingWork::default();
+        let mut build_cache = |target_entities: &EmbeddingTable| {
+            let cache = HardNegativeCache::build_for(
                 target_entities,
                 &positives,
                 Self::HARD_K,
                 pair.target.num_entities(),
                 Self::UNIFORM_PROB,
-            )
+            );
+            work = work + TrainingWork::hard_negatives(&cache);
+            cache
         };
         let mut hard_targets = build_cache(&state.target_entities);
 
@@ -133,6 +136,7 @@ impl EaModel for AlignE {
             Some(state.source_relations),
             Some(state.target_relations),
         )
+        .with_work(work)
     }
 }
 

@@ -24,10 +24,12 @@ pub struct TrainConfig {
     /// RNG seed. Training is fully deterministic given this seed.
     pub seed: u64,
     /// Candidate-generation strategy used by training-time nearest-neighbour
-    /// sweeps (currently Dual-AMN's mutual-anchor mining): the exact blocked
-    /// scan, or — for corpora where the exact O(n_s·n_t) sweep is the
-    /// bottleneck — the IVF approximate pre-filter (optionally IVF-SQ) or
-    /// the SQ8 quantized scan.
+    /// sweeps (currently Dual-AMN's mutual-anchor mining, through
+    /// [`CandidateSearch::mutual_top1`]): the exact fused top-1 pass, which
+    /// scores each source-target pair once, or — for corpora where that
+    /// O(n_s·n_t) sweep is the bottleneck — the IVF approximate pre-filter
+    /// (optionally IVF-SQ) or the SQ8 quantized scan, which read the heads
+    /// of a `k = 1` bidirectional index.
     pub candidate_search: CandidateSearch,
 }
 

@@ -18,7 +18,7 @@
 //!   50% more fine-tuning epochs than GCN-Align.
 
 use crate::config::TrainConfig;
-use crate::trained::TrainedAlignment;
+use crate::trained::{TrainedAlignment, TrainingWork};
 use crate::training::{
     alignment_margin_epoch, anchor_init, merge_seed_embeddings, propagate, seed_targets,
     training_rng, NeighborLists,
@@ -121,14 +121,17 @@ impl EaModel for DualAmn {
         // target, so only the seed targets get lists.
         let epochs = config.epochs + config.epochs / 2;
         let positives = seed_targets(&pair.seed);
-        let build_cache = |target_out: &EmbeddingTable| {
-            HardNegativeCache::build_for(
+        let mut work = TrainingWork::default();
+        let mut build_cache = |target_out: &EmbeddingTable| {
+            let cache = HardNegativeCache::build_for(
                 target_out,
                 &positives,
                 Self::HARD_K,
                 pair.target.num_entities(),
                 Self::UNIFORM_PROB,
-            )
+            );
+            work = work + TrainingWork::hard_negatives(&cache);
+            cache
         };
         let mut cache = build_cache(&target_out);
         for epoch in 0..epochs {
@@ -147,17 +150,19 @@ impl EaModel for DualAmn {
         }
 
         // Proxy-matching stand-in: one round of confident cross-graph anchor
-        // augmentation. Mutual nearest neighbours above a similarity threshold
-        // are treated as additional shared anchors and the representation is
-        // rebuilt, which plays the role of the original model's proxy-attention
-        // cross-graph interaction.
-        let pseudo = mutual_anchor_candidates(
+        // augmentation. Mutual nearest neighbours at or above a similarity
+        // threshold are treated as additional shared anchors and the
+        // representation is rebuilt, which plays the role of the original
+        // model's proxy-attention cross-graph interaction. The exact search
+        // is one fused top-1 pass over the unanchored pairs.
+        let (pseudo, mutual_work) = mutual_anchor_candidates(
             pair,
             &source_out,
             &target_out,
             Self::PSEUDO_SIM,
             &config.candidate_search,
         );
+        work = work + mutual_work;
         if !pseudo.is_empty() {
             let mut anchor = vec![0.0f32; config.dim];
             for p in pseudo.iter() {
@@ -224,20 +229,21 @@ impl EaModel for DualAmn {
             Some(source_gates),
             Some(target_gates),
         )
+        .with_work(work)
     }
 }
 
 /// Finds mutual nearest neighbours between the not-yet-anchored entities of
-/// both graphs whose cosine similarity exceeds `threshold`. These pairs are
+/// both graphs whose cosine similarity reaches `threshold`. These pairs are
 /// confident enough to serve as additional anchors for a second
-/// representation-building round.
+/// representation-building round. Also returns the work of the search.
 fn mutual_anchor_candidates(
     pair: &KgPair,
     source_out: &EmbeddingTable,
     target_out: &EmbeddingTable,
     threshold: f32,
     search: &ea_embed::CandidateSearch,
-) -> Vec<ea_graph::AlignmentPair> {
+) -> (Vec<ea_graph::AlignmentPair>, TrainingWork) {
     use ea_graph::EntityId;
     let sources: Vec<EntityId> = pair
         .source
@@ -250,33 +256,26 @@ fn mutual_anchor_candidates(
         .filter(|e| !pair.seed.contains_target(*e))
         .collect();
     if sources.is_empty() || targets.is_empty() {
-        return Vec::new();
+        return (Vec::new(), TrainingWork::default());
     }
-    // Blocked top-1 candidate engine: best target per source from the
-    // forward lists, best source per target from the reverse lists — no
-    // dense n_s × n_t matrix, no quadratic rescan. Ties resolve to the
-    // earliest row/column, like the dense scans did. The configured
-    // `CandidateSearch` decides whether the lists come from the exact scan,
-    // the IVF pre-filter or the SQ8 scan (approximate mining trades a few
-    // anchors for a cheaper sweep; at `nprobe = nlist` /
-    // `rerank_factor = usize::MAX` it is bit-identical).
-    let index = search.bidirectional_index(source_out, &sources, target_out, &targets, 1);
+    // Each source's best target and each target's best source, ties to the
+    // earliest position, like the dense scans. The exact engine scores each
+    // pair once in one fused pass; an approximate `CandidateSearch` (IVF,
+    // SQ8) reads the heads of its top-1 lists instead, trading a few anchors
+    // for a cheaper sweep.
+    let best = search.mutual_top1(source_out, &sources, target_out, &targets);
     let mut pseudo = Vec::new();
     for (i, &s) in sources.iter().enumerate() {
-        let (t, sim) = index
-            .candidates(i)
-            .next()
+        let (j, sim) = best
+            .best_target(i)
             .expect("non-empty targets yield a best candidate");
-        if sim < threshold {
-            continue;
-        }
-        if let Some((best_s, _)) = index.best_source_for_target(t) {
-            if best_s == s {
-                pseudo.push(ea_graph::AlignmentPair::new(s, t));
-            }
+        // `>=` is false for a NaN similarity, so a NaN pair never anchors.
+        let mutual = best.best_source(j).is_some_and(|(best_i, _)| best_i == i);
+        if sim >= threshold && mutual {
+            pseudo.push(ea_graph::AlignmentPair::new(s, targets[j]));
         }
     }
-    pseudo
+    (pseudo, TrainingWork::mutual_anchors(&best))
 }
 
 /// Concatenates two embedding tables row-wise (the dual-channel combination).
@@ -337,6 +336,7 @@ fn derive_gates(
 mod tests {
     use super::*;
     use ea_data::datasets::{load, DatasetName, DatasetScale};
+    use ea_embed::CandidateSearch;
     use ea_graph::KgSide;
 
     #[test]
@@ -371,6 +371,53 @@ mod tests {
         assert_eq!(
             trained.relations(KgSide::Source).unwrap().rows(),
             pair.source.num_relations()
+        );
+    }
+
+    #[test]
+    fn nan_similarities_never_become_pseudo_anchors() {
+        let pair = load(DatasetName::ZhEn, DatasetScale::Small);
+        let mut rng = training_rng(&TrainConfig::fast());
+        let mut source = EmbeddingTable::xavier(pair.source.num_entities(), 8, &mut rng);
+        let mut target = EmbeddingTable::xavier(pair.target.num_entities(), 8, &mut rng);
+        // The first unanchored entity of each side gets an infinite entry:
+        // normalised, every similarity it takes part in is NaN.
+        let s0 = pair
+            .source
+            .entity_ids()
+            .find(|e| !pair.seed.contains_source(*e))
+            .unwrap();
+        let t0 = pair
+            .target
+            .entity_ids()
+            .find(|e| !pair.seed.contains_target(*e))
+            .unwrap();
+        source.row_mut(s0.index())[0] = f32::INFINITY;
+        target.row_mut(t0.index())[0] = f32::INFINITY;
+        // All-NaN row and column: each is the other's tie-broken best, so
+        // only the threshold test keeps them apart.
+        let sources: Vec<_> = pair
+            .source
+            .entity_ids()
+            .filter(|e| !pair.seed.contains_source(*e))
+            .collect();
+        let targets: Vec<_> = pair
+            .target
+            .entity_ids()
+            .filter(|e| !pair.seed.contains_target(*e))
+            .collect();
+        let best = CandidateSearch::Exact.mutual_top1(&source, &sources, &target, &targets);
+        assert!(matches!(best.best_target(0), Some((0, sim)) if sim.is_nan()));
+        assert!(matches!(best.best_source(0), Some((0, sim)) if sim.is_nan()));
+
+        // Every real similarity clears -1, so all other mutual pairs anchor.
+        let (pseudo, work) =
+            mutual_anchor_candidates(&pair, &source, &target, -1.0, &CandidateSearch::Exact);
+        assert!(!pseudo.is_empty());
+        assert!(pseudo.iter().all(|p| p.source != s0 && p.target != t0));
+        assert_eq!(
+            work.mutual_anchor_dots,
+            (sources.len() * targets.len()) as u64
         );
     }
 

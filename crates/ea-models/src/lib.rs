@@ -39,5 +39,5 @@ pub use config::TrainConfig;
 pub use dual_amn::DualAmn;
 pub use gcn_align::GcnAlign;
 pub use mtranse::MTransE;
-pub use trained::TrainedAlignment;
+pub use trained::{TrainedAlignment, TrainingWork};
 pub use traits::{build_model, EaModel, ModelKind};

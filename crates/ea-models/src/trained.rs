@@ -1,7 +1,60 @@
 //! The artifact produced by training: embeddings plus inference helpers.
 
-use ea_embed::{vector, CandidateIndex, CandidateSearch, EmbeddingTable, SimilarityMatrix};
+use ea_embed::{
+    vector, CandidateIndex, CandidateSearch, EmbeddingTable, HardNegativeCache, MutualTop1,
+    SimilarityMatrix,
+};
 use ea_graph::{AlignmentSet, EntityId, KgPair, KgSide, RelationId};
+use std::ops::Add;
+
+/// Deterministic work counters of one training run: how many rows and
+/// similarity dots its exact nearest-neighbour scans took. They are a pure
+/// function of the graph shapes and the schedule (no clock), so a change to
+/// either scan shows up here as a different count, not as a timing.
+/// Counters of several runs or stages add up with `+`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainingWork {
+    /// Rows given a hard-negative list, summed over every cache build
+    /// ([`HardNegativeCache::listed_rows`]).
+    pub hard_negative_rows: u64,
+    /// Similarity dots of every hard-negative cache build
+    /// ([`HardNegativeCache::dots`]).
+    pub hard_negative_dots: u64,
+    /// Source-target pairs the mutual-anchor search scored
+    /// ([`MutualTop1::dots`]).
+    pub mutual_anchor_dots: u64,
+}
+
+impl TrainingWork {
+    /// The work of one hard-negative cache build.
+    pub fn hard_negatives(cache: &HardNegativeCache) -> Self {
+        Self {
+            hard_negative_rows: cache.listed_rows() as u64,
+            hard_negative_dots: cache.dots(),
+            ..Self::default()
+        }
+    }
+
+    /// The work of one mutual-anchor search.
+    pub fn mutual_anchors(search: &MutualTop1) -> Self {
+        Self {
+            mutual_anchor_dots: search.dots(),
+            ..Self::default()
+        }
+    }
+}
+
+impl Add for TrainingWork {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            hard_negative_rows: self.hard_negative_rows + other.hard_negative_rows,
+            hard_negative_dots: self.hard_negative_dots + other.hard_negative_dots,
+            mutual_anchor_dots: self.mutual_anchor_dots + other.mutual_anchor_dots,
+        }
+    }
+}
 
 /// The output of training an EA model on a [`KgPair`]: entity embeddings for
 /// both graphs, relation embeddings when the model learns them, and the
@@ -18,6 +71,8 @@ pub struct TrainedAlignment {
     target_norms: Vec<f32>,
     source_relations: Option<EmbeddingTable>,
     target_relations: Option<EmbeddingTable>,
+    /// What training scanned; beside the tables, not part of them.
+    work: TrainingWork,
 }
 
 impl TrainedAlignment {
@@ -44,7 +99,21 @@ impl TrainedAlignment {
             target_entities,
             source_relations,
             target_relations,
+            work: TrainingWork::default(),
         }
+    }
+
+    /// The artifact with the training work counters recorded by the model
+    /// that produced it.
+    pub fn with_work(self, work: TrainingWork) -> Self {
+        Self { work, ..self }
+    }
+
+    /// The work counters of the training that produced this artifact (all
+    /// zero for models without nearest-neighbour scans, and for artifacts
+    /// built directly).
+    pub fn work(&self) -> TrainingWork {
+        self.work
     }
 
     /// Name of the model that produced this artifact.
