@@ -3,8 +3,8 @@
 //! (build + greedy alignment, CSLS re-scoring, and the cr2-style id-lookup
 //! loop that used to be quadratic), the IVF ANN pre-filter vs the exact scan
 //! at n >= 2000 targets, the register-blocked and packed-group kernels vs
-//! the retired one-accumulator scalar dot, the hard-negative cache build
-//! (the blocked self-join behind Dual-AMN and AlignE training), Dual-AMN's
+//! the retired one-accumulator scalar dot, the hard-negative cache build and
+//! refresh (the blocked self-join behind Dual-AMN and AlignE training), Dual-AMN's
 //! fused mutual top-1 pass vs a `k = 1` bidirectional index, and the SQ8
 //! quantized scan vs the exact f32 sweep.
 
@@ -228,10 +228,14 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hard-negative cache build Dual-AMN and AlignE repeat during training,
-/// on a 2200×64 table (the bench-scale entity count and embedding width),
-/// k = 10: every row against the universe (the full build), and the 600
-/// random rows training actually queries (the bench-scale seed targets).
+/// The hard-negative cache build Dual-AMN and AlignE run at the start of
+/// training, on a 2200×64 table (the bench-scale entity count and embedding
+/// width), k = 10: every row against the universe (the full build), and the
+/// 600 random rows training actually queries (the bench-scale seed targets).
+/// The `refresh_600of2200x64` cases time the refresh training repeats
+/// every few epochs on that 600-row cache, with 0%, 5% (110 random rows)
+/// and 100% of the rows nudged since the last refresh: each iteration
+/// refreshes towards the other of two tables that differ in those rows.
 fn bench_hard_negatives(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(29);
     let table = EmbeddingTable::xavier(2200, 64, &mut rng);
@@ -254,6 +258,28 @@ fn bench_hard_negatives(c: &mut Criterion) {
             ))
         })
     });
+    for (name, changed) in [
+        ("refresh_600of2200x64_0pct", 0),
+        ("refresh_600of2200x64_5pct", 110),
+        ("refresh_600of2200x64_100pct", table.rows()),
+    ] {
+        let mut nudged = table.clone();
+        let mut order: Vec<usize> = (0..table.rows()).collect();
+        order.shuffle(&mut rng);
+        for &r in &order[..changed] {
+            nudged.row_mut(r)[0] += 0.01;
+        }
+        let pair = [&table, &nudged];
+        let mut cache = HardNegativeCache::build_for(&table, &rows, 10, table.rows(), 0.0);
+        let mut turn = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                turn += 1;
+                cache.refresh(pair[turn % 2]);
+                black_box(cache.dots())
+            })
+        });
+    }
     group.finish();
 }
 

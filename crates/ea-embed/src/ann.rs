@@ -1098,9 +1098,9 @@ mod tests {
         let ivf = CandidateSearch::Ivf(IvfParams::exhaustive())
             .bidirectional_index(&s, &sids, &t, &tids, 3);
         assert!(ivf.has_reverse());
-        for &t_id in &tids {
-            let a = exact.best_source_for_target(t_id).unwrap();
-            let b = ivf.best_source_for_target(t_id).unwrap();
+        let (a, b) = (MutualTop1::from_index(&exact), MutualTop1::from_index(&ivf));
+        for j in 0..tids.len() {
+            let (a, b) = (a.best_source(j).unwrap(), b.best_source(j).unwrap());
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }

@@ -455,8 +455,7 @@ impl CandidateIndex {
     /// [`CandidateIndex::compute`] plus the exact per-target reverse top-k
     /// lists, produced by a second, transposed blocked pass (twice the dot
     /// products, still O(n·k) peak memory). Required for
-    /// [`CandidateIndex::apply_csls`] and
-    /// [`CandidateIndex::best_source_for_target`].
+    /// [`CandidateIndex::apply_csls`].
     pub fn compute_bidirectional(
         source_table: &EmbeddingTable,
         source_ids: &[EntityId],
@@ -654,29 +653,6 @@ impl CandidateIndex {
             .map(|slot| self.cand_scores[base + slot])
     }
 
-    /// The most similar source entity of a target entity with its raw score
-    /// (head of the exact reverse neighbourhood; ties resolved to the
-    /// earliest source row, like the dense column scan).
-    ///
-    /// # Panics
-    /// Panics on a forward-only index — build with
-    /// [`CandidateIndex::compute_bidirectional`].
-    pub fn best_source_for_target(&self, target: EntityId) -> Option<(EntityId, f32)> {
-        assert!(
-            self.has_reverse,
-            "best_source_for_target requires an index built with compute_bidirectional"
-        );
-        let j = self.target_index(target)?;
-        if self.rev_len == 0 {
-            return None;
-        }
-        let base = j * self.rev_len;
-        Some((
-            self.source_ids[self.rev_rows[base] as usize],
-            self.rev_scores[base],
-        ))
-    }
-
     /// Greedy alignment: every source entity aligned to its best candidate.
     /// Bit-identical to the dense [`crate::SimilarityMatrix::greedy_alignment`].
     pub fn greedy_alignment(&self) -> AlignmentSet {
@@ -852,12 +828,13 @@ mod tests {
         let (s, t, sids, tids) = basis_tables();
         let index = CandidateIndex::compute_bidirectional(&s, &sids, &t, &tids, 2);
         assert!(index.has_reverse());
-        for i in 0..3u32 {
-            let (best, score) = index.best_source_for_target(EntityId(i)).unwrap();
-            assert_eq!(best, EntityId(i));
+        let heads = MutualTop1::from_index(&index);
+        for j in 0..3 {
+            let (best, score) = heads.best_source(j).unwrap();
+            assert_eq!(best, j);
             assert!(score > 0.9);
         }
-        assert!(index.best_source_for_target(EntityId(7)).is_none());
+        assert!(heads.best_source(7).is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Determinism of the hard-negative cache build under a multi-thread rayon
-//! pool: with `RAYON_NUM_THREADS=8` the blocked scan must return exactly
-//! the naive per-row oracle's lists, two builds must agree, and a build
-//! restricted to some rows must list exactly those rows' lists.
+//! Determinism of the hard-negative cache build and refresh under a
+//! multi-thread rayon pool: with `RAYON_NUM_THREADS=8` the blocked scan must
+//! return exactly the naive per-row oracle's lists, two builds must agree, a
+//! build restricted to some rows must list exactly those rows' lists, and a
+//! refresh after edits must match a fresh build of the edited table.
 //!
 //! This lives in its own integration-test binary so the env var is set
 //! before the rayon shim samples it — on a single-core host the default pool
@@ -77,6 +78,32 @@ fn eight_thread_pool_matches_the_naive_oracle() {
                 expected,
                 "restricted build diverged under 8 threads (seed {seed}, row {i})"
             );
+        }
+
+        // Nudge every 9th row, zero one and move one listed row, then
+        // refresh: the merges and rescans must give the fresh build's lists.
+        let mut edited = table.clone();
+        for i in (seed as usize..rows).step_by(9) {
+            edited.row_mut(i)[0] += 0.01;
+        }
+        edited.row_mut(20).fill(0.0);
+        edited.row_mut(33)[1] -= 0.5;
+        let mut refreshed = restricted.clone();
+        refreshed.refresh(&edited);
+        let fresh = HardNegativeCache::build_for(&edited, &positives, k, universe, 0.1);
+        for i in 0..universe {
+            assert_eq!(
+                refreshed.neighbors(i),
+                fresh.neighbors(i),
+                "refresh diverged under 8 threads (seed {seed}, row {i})"
+            );
+            if i % 3 == 0 {
+                assert_eq!(
+                    refreshed.neighbors(i),
+                    oracle_list(&edited, i, k, universe).as_slice(),
+                    "refresh diverged from the oracle (seed {seed}, row {i})"
+                );
+            }
         }
     }
 }

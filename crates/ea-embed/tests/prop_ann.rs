@@ -111,7 +111,7 @@ proptest! {
             seed: quantizer_seed,
             ..IvfParams::default()
         };
-        let ivf = CandidateSearch::Ivf(params).bidirectional_index(&s, &sids, &t, &tids, k);
+        let ivf = CandidateSearch::Ivf(params.clone()).bidirectional_index(&s, &sids, &t, &tids, k);
 
         prop_assert_eq!(exact.greedy_alignment().to_vec(), ivf.greedy_alignment().to_vec());
         for i in 0..n_s {
@@ -121,13 +121,15 @@ proptest! {
                 ivf.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
             prop_assert_eq!(a, b, "forward row {} diverged", i);
         }
-        for &tid in &tids {
-            let a = exact.best_source_for_target(tid);
-            let b = ivf.best_source_for_target(tid);
+        // Reverse heads: the exact fused top-1 pass against exhaustive IVF's
+        // `k = 1` bidirectional index.
+        let exact_heads = CandidateSearch::Exact.mutual_top1(&s, &sids, &t, &tids);
+        let ivf_heads = CandidateSearch::Ivf(params).mutual_top1(&s, &sids, &t, &tids);
+        for j in 0..n_t {
             prop_assert_eq!(
-                a.map(|(e, v)| (e, v.to_bits())),
-                b.map(|(e, v)| (e, v.to_bits())),
-                "reverse head for {:?} diverged", tid
+                exact_heads.best_source(j).map(|(e, v)| (e, v.to_bits())),
+                ivf_heads.best_source(j).map(|(e, v)| (e, v.to_bits())),
+                "reverse head for target {} diverged", j
             );
         }
     }

@@ -140,13 +140,15 @@ proptest! {
                 sq8.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
             prop_assert_eq!(a, b, "forward row {} diverged", i);
         }
-        for &tid in &tids {
-            let a = exact.best_source_for_target(tid);
-            let b = sq8.best_source_for_target(tid);
+        // Reverse heads: the exact fused top-1 pass against exhaustive
+        // SQ8's `k = 1` bidirectional index.
+        let exact_heads = CandidateSearch::Exact.mutual_top1(&s, &sids, &t, &tids);
+        let sq8_heads = CandidateSearch::Sq8(Sq8Params::exhaustive()).mutual_top1(&s, &sids, &t, &tids);
+        for j in 0..n_t {
             prop_assert_eq!(
-                a.map(|(e, v)| (e, v.to_bits())),
-                b.map(|(e, v)| (e, v.to_bits())),
-                "reverse head for {:?} diverged", tid
+                exact_heads.best_source(j).map(|(e, v)| (e, v.to_bits())),
+                sq8_heads.best_source(j).map(|(e, v)| (e, v.to_bits())),
+                "reverse head for target {} diverged", j
             );
         }
     }

@@ -67,10 +67,14 @@ fn partial_sq8_is_run_to_run_deterministic_under_forced_parallelism() {
             let rb: Vec<(EntityId, u32)> = b.candidates(i).map(|(e, v)| (e, v.to_bits())).collect();
             assert_eq!(ra, rb, "{} re-run diverged on row {i}", search.name());
         }
-        for &tid in &tids {
+        let (a, b) = (
+            search.mutual_top1(&s, &sids, &t, &tids),
+            search.mutual_top1(&s, &sids, &t, &tids),
+        );
+        for j in 0..tids.len() {
             assert_eq!(
-                a.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
-                b.best_source_for_target(tid).map(|(e, v)| (e, v.to_bits())),
+                a.best_source(j).map(|(e, v)| (e, v.to_bits())),
+                b.best_source(j).map(|(e, v)| (e, v.to_bits())),
                 "{} reverse head diverged",
                 search.name()
             );

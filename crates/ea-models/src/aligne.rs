@@ -6,7 +6,7 @@
 //!
 //! 1. **Hard negative sampling** — negatives are drawn from the entities most
 //!    similar to the true counterpart under the current embeddings (a cache
-//!    of nearest-neighbour lists for the seed targets, rebuilt every few
+//!    of nearest-neighbour lists for the seed targets, refreshed every few
 //!    epochs), which teaches the model to distinguish similar entities (and
 //!    is why AlignE gains the least from ExEA's relation-conflict
 //!    resolution, Fig. 6).
@@ -21,7 +21,7 @@ use crate::training::{
     TranslationState,
 };
 use crate::traits::EaModel;
-use ea_embed::{EmbeddingTable, HardNegativeCache, NegativeSampler};
+use ea_embed::{HardNegativeCache, NegativeSampler};
 use ea_graph::KgPair;
 
 /// The AlignE model.
@@ -41,7 +41,7 @@ impl AlignE {
     const HARD_K: usize = 10;
     /// Probability of falling back to a uniform negative.
     const UNIFORM_PROB: f64 = 0.3;
-    /// How often (in epochs) the hard-negative caches are rebuilt.
+    /// How often (in epochs) the hard-negative caches are refreshed.
     const REFRESH_EVERY: usize = 10;
 }
 
@@ -64,23 +64,19 @@ impl EaModel for AlignE {
         let source_sampler = NegativeSampler::uniform(pair.source.num_entities());
         let target_sampler = NegativeSampler::uniform(pair.target.num_entities());
         let positives = seed_targets(&pair.seed);
-        let mut work = TrainingWork::default();
-        let mut build_cache = |target_entities: &EmbeddingTable| {
-            let cache = HardNegativeCache::build_for(
-                target_entities,
-                &positives,
-                Self::HARD_K,
-                pair.target.num_entities(),
-                Self::UNIFORM_PROB,
-            );
-            work = work + TrainingWork::hard_negatives(&cache);
-            cache
-        };
-        let mut hard_targets = build_cache(&state.target_entities);
+        let mut hard_targets = HardNegativeCache::build_for(
+            &state.target_entities,
+            &positives,
+            Self::HARD_K,
+            pair.target.num_entities(),
+            Self::UNIFORM_PROB,
+        );
+        let mut work = TrainingWork::hard_negatives(&hard_targets);
 
         for epoch in 0..self.config.epochs {
             if epoch > 0 && epoch % Self::REFRESH_EVERY == 0 {
-                hard_targets = build_cache(&state.target_entities);
+                hard_targets.refresh(&state.target_entities);
+                work = work + TrainingWork::hard_negatives(&hard_targets);
             }
             transe_epoch(
                 &pair.source,

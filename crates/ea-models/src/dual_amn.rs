@@ -11,7 +11,7 @@
 //!   behaviour, so relation semantics are captured (which is why Dual-AMN
 //!   gains little from relation-conflict resolution, Fig. 6);
 //! * **hard negative mining** — negatives are drawn from the entities most
-//!   similar to the true counterpart (a candidate cache, rebuilt every few
+//!   similar to the true counterpart (a candidate cache, refreshed every few
 //!   epochs for the seed targets only — the rows the alignment loss draws
 //!   for), giving the model its ability to separate look-alike entities;
 //! * **strongest base accuracy** of the four models: gated propagation plus
@@ -45,7 +45,7 @@ impl DualAmn {
     const HARD_K: usize = 10;
     /// Probability of falling back to a uniform negative.
     const UNIFORM_PROB: f64 = 0.2;
-    /// How often (in epochs) the hard-negative cache is rebuilt.
+    /// How often (in epochs) the hard-negative cache is refreshed.
     const REFRESH_EVERY: usize = 10;
     /// Residual (self-loop) weight used during propagation.
     const SELF_WEIGHT: f32 = 0.3;
@@ -121,22 +121,18 @@ impl EaModel for DualAmn {
         // target, so only the seed targets get lists.
         let epochs = config.epochs + config.epochs / 2;
         let positives = seed_targets(&pair.seed);
-        let mut work = TrainingWork::default();
-        let mut build_cache = |target_out: &EmbeddingTable| {
-            let cache = HardNegativeCache::build_for(
-                target_out,
-                &positives,
-                Self::HARD_K,
-                pair.target.num_entities(),
-                Self::UNIFORM_PROB,
-            );
-            work = work + TrainingWork::hard_negatives(&cache);
-            cache
-        };
-        let mut cache = build_cache(&target_out);
+        let mut cache = HardNegativeCache::build_for(
+            &target_out,
+            &positives,
+            Self::HARD_K,
+            pair.target.num_entities(),
+            Self::UNIFORM_PROB,
+        );
+        let mut work = TrainingWork::hard_negatives(&cache);
         for epoch in 0..epochs {
             if epoch > 0 && epoch % Self::REFRESH_EVERY == 0 {
-                cache = build_cache(&target_out);
+                cache.refresh(&target_out);
+                work = work + TrainingWork::hard_negatives(&cache);
             }
             alignment_margin_epoch(
                 &pair.seed,

@@ -8,16 +8,17 @@ use ea_graph::{AlignmentSet, EntityId, KgPair, KgSide, RelationId};
 use std::ops::Add;
 
 /// Deterministic work counters of one training run: how many rows and
-/// similarity dots its exact nearest-neighbour scans took. They are a pure
-/// function of the graph shapes and the schedule (no clock), so a change to
-/// either scan shows up here as a different count, not as a timing.
-/// Counters of several runs or stages add up with `+`.
+/// similarity dots its exact nearest-neighbour scans took. They read no
+/// clock and are a deterministic function of the training seed (a
+/// hard-negative refresh rescores only the rows training changed), so a
+/// change to either scan shows up here as a different count, not as a
+/// timing. Counters of several runs or stages add up with `+`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainingWork {
-    /// Rows given a hard-negative list, summed over every cache build
-    /// ([`HardNegativeCache::listed_rows`]).
+    /// Rows given a hard-negative list, summed over the cache build and
+    /// every refresh ([`HardNegativeCache::listed_rows`]).
     pub hard_negative_rows: u64,
-    /// Similarity dots of every hard-negative cache build
+    /// Similarity dots the hard-negative cache build and refreshes computed
     /// ([`HardNegativeCache::dots`]).
     pub hard_negative_dots: u64,
     /// Source-target pairs the mutual-anchor search scored
@@ -26,7 +27,7 @@ pub struct TrainingWork {
 }
 
 impl TrainingWork {
-    /// The work of one hard-negative cache build.
+    /// The work of the last hard-negative cache build or refresh.
     pub fn hard_negatives(cache: &HardNegativeCache) -> Self {
         Self {
             hard_negative_rows: cache.listed_rows() as u64,

@@ -1,9 +1,9 @@
 //! Bit pins of the trained entity tables of the two hard-negative models.
 //!
 //! Dual-AMN and AlignE mine hard negatives from a `HardNegativeCache` that
-//! is rebuilt every few epochs, so any change to how the cache is built or
-//! sampled (neighbour lists, tie-breaks, RNG draws) shows up as different
-//! trained embeddings. These tests hash the exact bits of both trained
+//! is refreshed every few epochs, so any change to how the cache is built,
+//! refreshed or sampled (neighbour lists, tie-breaks, RNG draws) shows up as
+//! different trained embeddings. These tests hash the exact bits of both trained
 //! entity tables on ZH-EN `Small` and compare them against recorded digests;
 //! a change to either model's training that is meant to be bit-preserving
 //! must keep them.
@@ -12,7 +12,8 @@
 //! a blocked self-join. The default-config pins cover the schedule the repo
 //! benchmark trains with — more refreshes, Dual-AMN's 64-wide concatenated
 //! table and its post-anchor phase — and were recorded before the cache
-//! started building lists only for the rows training queries.
+//! started building lists only for the rows training queries. Both sets
+//! predate the in-place refresh that rescores only the changed rows.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::{CandidateSearch, EmbeddingTable};

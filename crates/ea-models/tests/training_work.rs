@@ -1,8 +1,9 @@
 //! Pins of the training work counters ([`TrainingWork`]): how many rows and
 //! similarity dots the exact nearest-neighbour scans of a training take.
-//! They are a pure function of the graph shapes and the schedule, so these
-//! tests pin literal numbers; a change that scans more (or less) must
-//! update them on purpose.
+//! They are a deterministic function of the training seed (a cache refresh
+//! rescores only the rows training changed), so these tests pin literal
+//! numbers; a change that scans more (or less) must update them on
+//! purpose.
 
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_embed::CandidateSearch;
@@ -19,9 +20,12 @@ fn default_config() -> TrainConfig {
 
 /// Dual-AMN at the repo benchmark's scale and schedule: ZH-EN `Bench` has
 /// 2200 entities a side and 600 seed pairs. Fine-tuning runs 90 epochs and
-/// rebuilds the hard-negative cache every 10, so 9 builds list the 600 seed
-/// targets against all 2200 targets; the mutual-anchor search scores each
-/// of the 1600 × 1600 unanchored pairs once.
+/// refreshes the hard-negative cache every 10, so the build and 8 refreshes
+/// list the 600 seed targets. The build scores them against all 2200
+/// targets (1,320,000 dots); the refreshes rescore only the rows training
+/// changed, which fall off as the margin loss stops firing. Scanning every
+/// time would be 9 × 600 × 2200 = 11,880,000 dots. The mutual-anchor search
+/// scores each of the 1600 × 1600 unanchored pairs once.
 #[test]
 fn dual_amn_default_bench_work_is_pinned() {
     let pair = load(DatasetName::ZhEn, DatasetScale::Bench);
@@ -32,15 +36,16 @@ fn dual_amn_default_bench_work_is_pinned() {
         work,
         TrainingWork {
             hard_negative_rows: 9 * 600,
-            hard_negative_dots: 9 * 600 * 2200,
+            hard_negative_dots: 2_987_665,
             mutual_anchor_dots: 1600 * 1600,
         }
     );
 }
 
 /// AlignE on ZH-EN `Small` (330 entities a side, 90 seed pairs): 60 epochs
-/// with a rebuild every 10 is 6 cache builds and no mutual-anchor search.
-/// The uniform-negative models scan nothing.
+/// with a refresh every 10 is a build and 5 refreshes, and no mutual-anchor
+/// search. Its TransE epochs move every seed target, so each refresh
+/// rescans all 90 lists. The uniform-negative models scan nothing.
 #[test]
 fn other_models_work_is_pinned() {
     let pair = load(DatasetName::ZhEn, DatasetScale::Small);
