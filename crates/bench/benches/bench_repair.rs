@@ -1,9 +1,10 @@
-//! Criterion benchmark of the full repair pipeline (Table III/IV workload).
+//! Criterion benchmark of the full repair pipeline (Table III/IV workload)
+//! and of top-candidate verification on the same framework.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ea_data::datasets::{load, DatasetName, DatasetScale};
 use ea_models::{build_model, ModelKind, TrainConfig};
-use exea_core::{ExEa, ExeaConfig, RepairConfig};
+use exea_core::{verify_top_candidates, ExEa, ExeaConfig, RepairConfig};
 use std::hint::black_box;
 
 fn bench_repair(c: &mut Criterion) {
@@ -18,6 +19,9 @@ fn bench_repair(c: &mut Criterion) {
     });
     group.bench_function("one_to_many_only", |b| {
         b.iter(|| black_box(exea.repair(&RepairConfig::without_cr3())))
+    });
+    group.bench_function("verify_top_candidates_k5", |b| {
+        b.iter(|| black_box(verify_top_candidates(&exea, 5)))
     });
     group.finish();
 }

@@ -6,21 +6,26 @@
 //!
 //! 1. finding neighbour entities of `e1` and `e2` that are themselves aligned
 //!    (by the model's predictions or the seed alignment): `e1`'s paths are
-//!    walked in runs that share an endpoint `n1`, and the target run ending
-//!    at `n2 = state(n1)` is found by binary search in `e2`'s paths, which
-//!    are sorted by endpoint;
+//!    walked in runs that share an endpoint `n1`, `n2 = state(n1)` is
+//!    resolved once per run, and the targets with a run ending at `n2` are
+//!    found from the shorter side — `n2`'s own paths, walked against the
+//!    sorted candidate targets, or each candidate's paths, binary-searched
+//!    for `n2` (all path lists are sorted by endpoint);
 //! 2. collecting the relation paths from each central entity to its matched
-//!    neighbours and embedding them (Eq. 2) into reused scratch;
+//!    neighbours and embedding them (Eq. 2) into reused scratch, `e1`'s run
+//!    once per group;
 //! 3. matching those paths bidirectionally by path-embedding similarity
 //!    (mutual nearest neighbours over one cosine tile per neighbour pair), and
 //! 4. taking the triples along matched paths as the explanation subgraph.
 //!
-//! Steps 1–3 are one *matching core*, `for_each_matched_group`, shared by
-//! [`generate_explanation`] (which materialises step 4) and by the scorer
-//! behind [`crate::ExEa::confidence_with_state`] and
-//! [`crate::ExEa::score_batch`] (which reads only the ADG confidence and
-//! never builds the explanation). Both therefore see the same matches in the
-//! same order.
+//! Steps 1–3 are one *matching core*, `for_each_match`, which scores one
+//! source against a whole sorted slice of candidate targets. It is shared by
+//! [`generate_explanation`] (which materialises step 4 for one target) and by
+//! the scorers behind [`crate::ExEa::score_targets`],
+//! [`crate::ExEa::confidence_with_state`] and [`crate::ExEa::score_batch`]
+//! (which read only the ADG confidence and never build the explanation).
+//! Every consumer therefore sees a pair's matches in the same order, whatever
+//! other candidates share the call.
 
 use crate::relation_embed::{path_embedding_into, RelationEmbeddings};
 use ea_embed::{vector, EmbeddingTable};
@@ -138,6 +143,15 @@ impl<'a> PathEmbedder<'a> {
             target_relations,
         }
     }
+
+    /// The embedding prefix both sides compare on. The two sides may have
+    /// different embedding dimensionality when the relation tables differ
+    /// (e.g. Dual-AMN gates); the shortest common prefix aligns the entity
+    /// parts first.
+    fn common_dim(&self) -> usize {
+        (self.source_entities.dim() + self.source_relations.dim())
+            .min(self.target_entities.dim() + self.target_relations.dim())
+    }
 }
 
 /// One mutual-best path match inside a neighbour group: indexes into the
@@ -196,10 +210,27 @@ fn embed_run<P: Borrow<RelationPath>>(
 }
 
 impl MatchScratch {
-    /// Mutual-best matching of one neighbour group (step 3). Leaves the
-    /// matches in `self.matches`, ordered by `(source length, target
-    /// length)` and, within that, by source index.
-    fn match_group<P: Borrow<RelationPath>>(
+    /// Embeds one neighbour group's source run (step 2), once for all the
+    /// candidate targets the group is matched against.
+    fn embed_sources<P: Borrow<RelationPath>>(
+        &mut self,
+        embedder: &PathEmbedder<'_>,
+        sources: &[P],
+    ) {
+        embed_run(
+            sources,
+            embedder.source_entities,
+            embedder.source_relations,
+            embedder.common_dim(),
+            &mut self.source_embeddings,
+            &mut self.source_norms,
+        );
+    }
+
+    /// Mutual-best matching of the embedded source run against one target
+    /// run (steps 2–3). Leaves the matches in `self.matches`, ordered by
+    /// `(source length, target length)` and, within that, by source index.
+    fn match_targets<P: Borrow<RelationPath>>(
         &mut self,
         embedder: &PathEmbedder<'_>,
         sources: &[P],
@@ -207,18 +238,7 @@ impl MatchScratch {
     ) {
         let source_width = embedder.source_entities.dim() + embedder.source_relations.dim();
         let target_width = embedder.target_entities.dim() + embedder.target_relations.dim();
-        // The two sides may have different embedding dimensionality when the
-        // relation tables differ (e.g. Dual-AMN gates); compare on the
-        // shortest common prefix, which aligns the entity parts first.
-        let dim = source_width.min(target_width);
-        embed_run(
-            sources,
-            embedder.source_entities,
-            embedder.source_relations,
-            dim,
-            &mut self.source_embeddings,
-            &mut self.source_norms,
-        );
+        let dim = embedder.common_dim();
         embed_run(
             targets,
             embedder.target_entities,
@@ -274,25 +294,42 @@ impl MatchScratch {
     }
 }
 
-/// The matching core (steps 1–3) over paths sorted by endpoint.
+/// The matching core (steps 1–3): one source `e1` against a sorted slice of
+/// distinct candidate targets, groups in the outer loop.
 ///
-/// Calls `visit(sources, targets, matches)` once per matched neighbour pair
-/// `(n1, n2 = alignment(n1))` whose two path runs are non-empty, in
-/// ascending `n1` order; `sources` / `targets` are the runs of paths ending
-/// at `n1` / `n2` and `matches` index into them. `matches` is never empty:
-/// with last-index ties, the tile's maximum in the last row that holds it,
-/// at that row's last maximal column, is always a mutual best. Neighbours equal to the central entities
-/// are skipped. This is exactly the order of [`generate_explanation`]'s
-/// matched paths, so every consumer accumulates in the same order.
+/// `source_paths` are `e1`'s paths and `target_paths(t)` the paths around
+/// target `t`, both sorted by endpoint. For every neighbour group `(n1, n2 =
+/// alignment(n1))` of `e1`, in ascending `n1` order, the group is resolved
+/// once and `e1`'s run ending at `n1` is embedded once. The candidates `t`
+/// whose run ending at `n2` is non-empty are then found from the shorter
+/// side: when `n2` has fewer paths than there are candidates, `n2`'s
+/// same-endpoint runs are walked and each endpoint is binary-searched among
+/// the candidates; otherwise each candidate's paths are binary-searched for
+/// `n2`. The walk relies on path symmetry — `t` has a path ending at `n2`
+/// exactly when `n2` has one ending at `t` — which enumerated simple paths
+/// over both edge directions always have. With one candidate the walk runs
+/// only when `target_paths(n2)` is empty, where both sides find nothing, so
+/// a one-target caller may pass paths that are not symmetric.
+///
+/// Calls `visit(i, sources, targets, matches)` once per hit, where `i`
+/// indexes `candidates`, `sources` / `targets` are the runs ending at `n1` /
+/// `n2` and `matches` index into them. `matches` is never empty: with
+/// last-index ties, the tile's maximum in the last row that holds it, at
+/// that row's last maximal column, is always a mutual best. Neighbours
+/// equal to the central entities (`n1 = e1`, `n2 = t`) are skipped. So each
+/// candidate sees its groups in ascending `n1` order, exactly the order of
+/// [`generate_explanation`]'s matched paths, and every consumer accumulates
+/// a pair's evidence in the same order whatever else is in `candidates`.
 ///
 /// The work runs on this thread's scratch, which `visit` must not re-enter.
-pub(crate) fn for_each_matched_group<P: Borrow<RelationPath>>(
+pub(crate) fn for_each_match<'t, P: Borrow<RelationPath> + 't>(
     embedder: &PathEmbedder<'_>,
     alignment: &AlignmentSet,
-    (e1, e2): (EntityId, EntityId),
+    e1: EntityId,
     source_paths: &[P],
-    target_paths: &[P],
-    mut visit: impl FnMut(&[P], &[P], &[PathMatch]),
+    candidates: &[EntityId],
+    target_paths: impl Fn(EntityId) -> &'t [P],
+    mut visit: impl FnMut(usize, &[P], &[P], &[PathMatch]),
 ) {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
@@ -307,36 +344,64 @@ pub(crate) fn for_each_matched_group<P: Borrow<RelationPath>>(
             let Some(n2) = alignment.target_of(n1) else {
                 continue;
             };
-            if n2 == e2 {
-                continue;
+            let mut embedded = false;
+            let mut hit = |i: usize| {
+                let t = candidates[i];
+                if t == n2 {
+                    return;
+                }
+                let targets = endpoint_run(target_paths(t), n2);
+                if targets.is_empty() {
+                    return;
+                }
+                if !embedded {
+                    scratch.embed_sources(embedder, sources);
+                    embedded = true;
+                }
+                scratch.match_targets(embedder, sources, targets);
+                visit(i, sources, targets, &scratch.matches);
+            };
+            let around = target_paths(n2);
+            if around.len() < candidates.len() {
+                let mut lo = 0;
+                for run in around.chunk_by(|a, b| a.borrow().end() == b.borrow().end()) {
+                    match candidates[lo..].binary_search(&run[0].borrow().end()) {
+                        Ok(i) => {
+                            hit(lo + i);
+                            lo += i + 1;
+                        }
+                        Err(i) => lo += i,
+                    }
+                    if lo == candidates.len() {
+                        break;
+                    }
+                }
+            } else {
+                (0..candidates.len()).for_each(&mut hit);
             }
-            let targets = endpoint_run(target_paths, n2);
-            if targets.is_empty() {
-                continue;
-            }
-            scratch.match_group(embedder, sources, targets);
-            visit(sources, targets, &scratch.matches);
         }
     });
 }
 
-/// Step 4 on the matching core, for paths already sorted by endpoint.
-pub(crate) fn explain_sorted<P: Borrow<RelationPath>>(
+/// Step 4 on the matching core, for paths already sorted by endpoint:
+/// `target_paths(e2)` are the paths the explanation matches against.
+pub(crate) fn explain_sorted<'t, P: Borrow<RelationPath> + 't>(
     embedder: &PathEmbedder<'_>,
     alignment: &AlignmentSet,
     e1: EntityId,
     e2: EntityId,
     source_paths: &[P],
-    target_paths: &[P],
+    target_paths: impl Fn(EntityId) -> &'t [P],
 ) -> Explanation {
     let mut explanation = Explanation::empty(e1, e2);
-    for_each_matched_group(
+    for_each_match(
         embedder,
         alignment,
-        (e1, e2),
+        e1,
         source_paths,
+        &[e2],
         target_paths,
-        |sources, targets, matches| {
+        |_, sources, targets, matches| {
             for pm in matches {
                 let source = sources[pm.source].borrow();
                 let target = targets[pm.target].borrow();
@@ -385,7 +450,9 @@ pub fn generate_explanation(
     let mut targets: Vec<&RelationPath> = target_paths.iter().collect();
     targets.sort_by_key(|p| p.end());
     let embedder = PathEmbedder::new(trained, source_relations, target_relations);
-    explain_sorted(&embedder, alignment, e1, e2, &sources, &targets)
+    // The one slice stands for every entity's paths; with one candidate the
+    // core never needs them to be symmetric.
+    explain_sorted(&embedder, alignment, e1, e2, &sources, |_| &targets[..])
 }
 
 #[cfg(test)]

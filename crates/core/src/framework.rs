@@ -2,9 +2,7 @@
 
 use crate::adg::{confidence_from_aggregates, edge_rule, Adg, EdgeKind};
 use crate::config::ExeaConfig;
-use crate::explanation::{
-    explain_sorted, for_each_matched_group, Explanation, PathEmbedder, PathMatch,
-};
+use crate::explanation::{explain_sorted, for_each_match, Explanation, PathEmbedder, PathMatch};
 use crate::pipeline::{BatchOptions, PairScore};
 use crate::relation_embed::RelationEmbeddings;
 use crate::rules::{mine_not_same_as_rules, relation_alignment, NotSameAsRules, RelationAlignment};
@@ -15,6 +13,24 @@ use ea_graph::{
     RelationPath,
 };
 use ea_models::TrainedAlignment;
+
+/// One pair's Eq. 8 per-class sums and strong-edge flag, as the matching
+/// core accumulates them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Eq8Sums {
+    sums: [f64; 3],
+    has_strong_edges: bool,
+}
+
+impl Eq8Sums {
+    fn score(self, e1: EntityId, e2: EntityId, config: &ExeaConfig) -> PairScore {
+        PairScore {
+            pair: AlignmentPair::new(e1, e2),
+            confidence: confidence_from_aggregates(self.sums, config.theta, config.gamma),
+            has_strong_edges: self.has_strong_edges,
+        }
+    }
+}
 
 /// The ExEA framework bound to one KG pair and one trained EA model.
 ///
@@ -196,7 +212,7 @@ impl<'a> ExEa<'a> {
             e1,
             e2,
             &self.source_paths[e1.index()],
-            &self.target_paths[e2.index()],
+            |t| &self.target_paths[t.index()],
         )
     }
 
@@ -229,15 +245,8 @@ impl<'a> ExEa<'a> {
 
     /// Scores the pair `(e1, e2)` under an explicit alignment state: the ADG
     /// confidence (Eq. 9) and the strong-edge flag (§IV-C), without building
-    /// the explanation or the ADG.
-    ///
-    /// It runs the same matching core as [`ExEa::explain_with_state`] on this
-    /// thread's reused scratch, and feeds each match straight into the ADG
-    /// edge rule and Eq. 8's per-class sums in the ADG's edge order. With
-    /// `apply_relation_conflicts`, a neighbour pair any of whose matches is a
-    /// relation-alignment conflict contributes nothing — exactly what
-    /// [`Adg::remove_neighbors`] does to that node. The result is bit-identical
-    /// to `explain_with_state` followed by [`ExEa::adg`].
+    /// the explanation or the ADG. The one-candidate case of
+    /// [`ExEa::score_targets`].
     pub(crate) fn score_with_state(
         &self,
         e1: EntityId,
@@ -245,15 +254,62 @@ impl<'a> ExEa<'a> {
         state: &AlignmentSet,
         apply_relation_conflicts: bool,
     ) -> PairScore {
-        let mut sums = [0.0f64; 3];
-        let mut has_strong_edges = false;
-        for_each_matched_group(
+        let mut sums = [Eq8Sums::default()];
+        self.accumulate(e1, &[e2], state, apply_relation_conflicts, &mut sums);
+        sums[0].score(e1, e2, &self.config)
+    }
+
+    /// Scores `e1` against every target of `targets` (sorted ascending,
+    /// distinct) under an explicit alignment state, in one pass over `e1`'s
+    /// neighbour groups. Returns one [`PairScore`] per target, in `targets`
+    /// order, each bit-identical to scoring that pair alone with
+    /// [`ExEa::confidence_with_state`] / [`ExEa::score_batch`].
+    ///
+    /// # Panics
+    /// Panics if `targets` is not strictly ascending.
+    pub fn score_targets(
+        &self,
+        e1: EntityId,
+        targets: &[EntityId],
+        state: &AlignmentSet,
+        apply_relation_conflicts: bool,
+    ) -> Vec<PairScore> {
+        assert!(
+            targets.windows(2).all(|w| w[0] < w[1]),
+            "score_targets needs strictly ascending targets"
+        );
+        let mut sums = vec![Eq8Sums::default(); targets.len()];
+        self.accumulate(e1, targets, state, apply_relation_conflicts, &mut sums);
+        targets
+            .iter()
+            .zip(sums)
+            .map(|(&e2, s)| s.score(e1, e2, &self.config))
+            .collect()
+    }
+
+    /// Runs the matching core for `e1` against `targets` and feeds each match
+    /// straight into the ADG edge rule and Eq. 8's per-class sums of its
+    /// target, in the ADG's edge order. With `apply_relation_conflicts`, a
+    /// neighbour pair any of whose matches is a relation-alignment conflict
+    /// contributes nothing — exactly what [`Adg::remove_neighbors`] does to
+    /// that node. Each target's sums are therefore those of
+    /// [`ExEa::explain_with_state`] followed by [`ExEa::adg`], bit for bit.
+    fn accumulate(
+        &self,
+        e1: EntityId,
+        targets: &[EntityId],
+        state: &AlignmentSet,
+        apply_relation_conflicts: bool,
+        sums: &mut [Eq8Sums],
+    ) {
+        for_each_match(
             &self.path_embedder(),
             state,
-            (e1, e2),
+            e1,
             &self.source_paths[e1.index()],
-            &self.target_paths[e2.index()],
-            |sources, targets, matches| {
+            targets,
+            |t| &self.target_paths[t.index()],
+            |i, sources, targets, matches| {
                 let conflict =
                     |m: &PathMatch| self.relation_conflict(&sources[m.source], &targets[m.target]);
                 if apply_relation_conflicts && matches.iter().any(conflict) {
@@ -263,6 +319,7 @@ impl<'a> ExEa<'a> {
                     .trained
                     .entity_similarity(sources[0].end(), targets[0].end())
                     as f64;
+                let acc = &mut sums[i];
                 for m in matches {
                     let (kind, weight) = edge_rule(
                         &sources[m.source],
@@ -271,16 +328,11 @@ impl<'a> ExEa<'a> {
                         &self.target_functionality,
                         &self.config,
                     );
-                    sums[kind as usize] += weight * influence;
-                    has_strong_edges |= kind == EdgeKind::Strong;
+                    acc.sums[kind as usize] += weight * influence;
+                    acc.has_strong_edges |= kind == EdgeKind::Strong;
                 }
             },
         );
-        PairScore {
-            pair: AlignmentPair::new(e1, e2),
-            confidence: confidence_from_aggregates(sums, self.config.theta, self.config.gamma),
-            has_strong_edges,
-        }
     }
 
     /// The distinct endpoints of `e1`'s cached source paths, ascending. A

@@ -21,9 +21,10 @@
 //!
 //! The entry point is [`ExEa`], which owns the per-entity caches that make
 //! repeated scoring cheap enough for the repair loops. Repair and
-//! verification read only the ADG confidence, which
-//! [`ExEa::confidence_with_state`] and [`ExEa::score_batch`] compute from the
-//! shared matching core without building the explanation or the ADG.
+//! verification read only the ADG confidence, which [`ExEa::score_targets`]
+//! (one source against many targets), [`ExEa::confidence_with_state`] and
+//! [`ExEa::score_batch`] compute from the shared matching core without
+//! building the explanation or the ADG.
 //!
 //! # Batch API
 //!

@@ -293,25 +293,37 @@ impl<'a> ExEa<'a> {
     /// (Algorithm 2, line 14 — also used when comparing competing claims so
     /// that local evidence and global similarity are balanced consistently).
     fn alignment_score(&self, e1: EntityId, e2: EntityId, state: &AlignmentSet, cr1: bool) -> f64 {
-        self.confidence_with_state(e1, e2, state, cr1)
-            + self.config().alpha * self.trained().entity_similarity(e1, e2) as f64
+        self.with_similarity(e1, e2, self.confidence_with_state(e1, e2, state, cr1))
+    }
+
+    /// `confidence + alpha * similarity` of `(e1, e2)`: the alignment score
+    /// from an already computed confidence.
+    fn with_similarity(&self, e1: EntityId, e2: EntityId, confidence: f64) -> f64 {
+        confidence + self.config().alpha * self.trained().entity_similarity(e1, e2) as f64
     }
 
     /// Candidate target entities for re-alignment: targets whose neighbours
     /// are aligned with neighbours of `e1` (their explanations are guaranteed
-    /// to carry evidence), ordered deterministically.
+    /// to carry evidence), ascending. Self-loops are skipped on both sides.
     fn candidate_targets(&self, e1: EntityId, state: &AlignmentSet) -> Vec<EntityId> {
-        let mut candidates: HashSet<EntityId> = HashSet::new();
-        for n1 in self.pair().source.neighbor_entities(e1) {
+        let (source, target) = (&self.pair().source, &self.pair().target);
+        let mut candidates = Vec::new();
+        for n1 in source.neighbors_iter(e1).map(|n| n.entity) {
+            if n1 == e1 {
+                continue;
+            }
             if let Some(n2) = state.target_of(n1) {
-                for t in self.pair().target.neighbor_entities(n2) {
-                    candidates.insert(t);
-                }
+                candidates.extend(
+                    target
+                        .neighbors_iter(n2)
+                        .map(|n| n.entity)
+                        .filter(|&t| t != n2),
+                );
             }
         }
-        let mut result: Vec<EntityId> = candidates.into_iter().collect();
-        result.sort();
-        result
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
     }
 
     /// Final fallback: greedily align still-unaligned source entities with
@@ -541,10 +553,16 @@ impl Repair<'_, '_> {
             }
         }
         let exea = self.exea;
+        let candidates = exea.candidate_targets(e1, &self.work);
         let mut scored: Vec<(EntityId, f64)> = exea
-            .candidate_targets(e1, &self.work)
+            .score_targets(e1, &candidates, &self.work, self.cr1)
             .into_iter()
-            .map(|e2| (e2, exea.alignment_score(e1, e2, &self.work, self.cr1)))
+            .map(|s| {
+                (
+                    s.pair.target,
+                    exea.with_similarity(e1, s.pair.target, s.confidence),
+                )
+            })
             .collect();
         let count = scored.len();
         self.counts.cr3_realign_scores += count as u64;

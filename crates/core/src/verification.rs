@@ -7,7 +7,7 @@
 //! reproduce the paper's "ChatGPT + ExEA" fusion row.
 
 use crate::framework::ExEa;
-use ea_graph::AlignmentPair;
+use ea_graph::{AlignmentPair, EntityId};
 
 /// Precision / recall / F1 of a binary verification run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,8 +92,9 @@ pub fn verify_pairs(
 
 /// Verifies every test source entity's top-`k` candidate targets straight
 /// from the blocked candidate engine ([`ExEa::candidate_index`]): each
-/// `(source, candidate)` pair is scored in one parallel batch and accepted
-/// on the usual strong-edges + `beta` rule.
+/// source's candidates are scored together by [`ExEa::score_targets`], the
+/// sources fan out in one parallel batch, and every pair is accepted on the
+/// usual strong-edges + `beta` rule.
 ///
 /// This is the candidate-generation form of verification the engine makes
 /// affordable at scale — O(n·k) pairs, with `k` capped by the engine's own
@@ -101,18 +102,27 @@ pub fn verify_pairs(
 /// Returns the pairs in (source row, rank) order with their verdicts.
 pub fn verify_top_candidates(exea: &ExEa<'_>, k: usize) -> Vec<(AlignmentPair, bool)> {
     let index = exea.candidate_index();
-    let mut pairs = Vec::with_capacity(index.source_ids().len() * k.min(index.k()));
-    for (row, &source) in index.source_ids().iter().enumerate() {
-        for (target, _) in index.candidates(row).take(k) {
-            pairs.push(AlignmentPair::new(source, target));
-        }
-    }
     let state = exea.default_alignment_state();
     let beta = exea.config().beta();
-    exea.score_batch(&pairs, state, true, exea.batch_options())
-        .into_iter()
-        .map(|s| (s.pair, s.has_strong_edges && s.confidence >= beta))
-        .collect()
+    let rows: Vec<usize> = (0..index.source_ids().len()).collect();
+    let verdicts = exea.run_batch(&rows, exea.batch_options(), |&row| {
+        let source = index.source_ids()[row];
+        let ranked: Vec<EntityId> = index.candidates(row).take(k).map(|(t, _)| t).collect();
+        let mut targets = ranked.clone();
+        targets.sort_unstable();
+        targets.dedup();
+        let scores = exea.score_targets(source, &targets, state, true);
+        ranked
+            .iter()
+            .map(|t| {
+                let s = scores[targets
+                    .binary_search(t)
+                    .expect("every ranked target is scored")];
+                (s.pair, s.has_strong_edges && s.confidence >= beta)
+            })
+            .collect::<Vec<_>>()
+    });
+    verdicts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -120,7 +130,6 @@ mod tests {
     use super::*;
     use crate::config::ExeaConfig;
     use ea_data::datasets::{load, DatasetName, DatasetScale};
-    use ea_graph::EntityId;
     use ea_models::{build_model, ModelKind, TrainConfig};
 
     #[test]

@@ -301,3 +301,37 @@ proptest! {
         prop_assert_eq!(set.is_one_to_one(), set.one_to_many_conflicts().is_empty());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Path symmetry, the precondition of the matching core's walk over a
+    /// neighbour's paths: `a` has a path of at most `hops` steps ending at
+    /// `b` exactly when `b` has one ending at `a`, and no path ends where it
+    /// starts. Every graph carries a self-loop and parallel edges in both
+    /// directions on top of the random triples.
+    #[test]
+    fn path_endpoints_are_symmetric(kg in kg_strategy(), hops in 1usize..=3) {
+        let mut kg = kg;
+        let (r0, r1) = (RelationId(0), RelationId(1));
+        for (h, r, t) in [(0, r0, 0), (1, r0, 2), (1, r1, 2), (2, r0, 1), (1, r0, 2)] {
+            kg.add_triple(Triple::new(EntityId(h), r, EntityId(t))).unwrap();
+        }
+        let ends: Vec<HashSet<EntityId>> = kg
+            .entity_ids()
+            .map(|e| enumerate_paths(&kg, e, hops).iter().map(|p| p.end()).collect())
+            .collect();
+        for a in kg.entity_ids() {
+            prop_assert!(!ends[a.index()].contains(&a), "a path of {} ends at its start", a);
+            for &b in &ends[a.index()] {
+                prop_assert!(
+                    ends[b.index()].contains(&a),
+                    "{} reaches {} in {} hops but not back",
+                    a,
+                    b,
+                    hops
+                );
+            }
+        }
+    }
+}
